@@ -9,12 +9,16 @@ Layout (all integers little-endian):
 
 Entries are written in sorted-name order and numbers are stored verbatim,
 so identical state always produces identical bytes and round-trips are
-bit-exact. No timestamps anywhere.
+bit-exact. No timestamps anywhere. Loading checks every length against
+the bytes left in the file, so a truncated or garbled checkpoint raises
+DataError naming the file.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -49,25 +53,68 @@ def save(path: str, arrays: "dict[str, np.ndarray]", meta: "dict | None" = None)
         f.write(meta_b)
 
 
+class _Reader:
+    """Sequential reads that turn a short or impossible read into DataError."""
+
+    def __init__(self, path: str, f):
+        self.path, self.f = path, f
+        self.left = os.fstat(f.fileno()).st_size
+
+    def fail(self, what: str):
+        raise DataError(f"{self.path}: corrupt checkpoint: {what}")
+
+    def take(self, n: int, what: str) -> bytes:
+        if n > self.left:
+            self.fail(f"{what} needs {n} bytes, {self.left} left")
+        raw = self.f.read(n)
+        if len(raw) != n:
+            self.fail(f"{what} read {len(raw)} of {n} bytes")
+        self.left -= n
+        return raw
+
+    def uint(self, fmt: str, what: str) -> int:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))[0]
+
+    def text(self, n: int, encoding: str, what: str) -> str:
+        try:
+            return self.take(n, what).decode(encoding)
+        except UnicodeDecodeError:
+            self.fail(f"{what} is not {encoding}")
+
+
 def load(path: str) -> "tuple[dict[str, np.ndarray], dict]":
     with open(path, "rb") as f:
-        if f.read(4) != MAGIC:
+        r = _Reader(path, f)
+        if r.left < len(MAGIC) or r.take(len(MAGIC), "magic") != MAGIC:
             raise DataError(f"{path}: not a memdiff checkpoint")
-        (version,) = struct.unpack("<I", f.read(4))
+        version = r.uint("<I", "version")
         if version != VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {version}")
-        (count,) = struct.unpack("<I", f.read(4))
+        count = r.uint("<I", "entry count")
         arrays: "dict[str, np.ndarray]" = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", f.read(2))
-            name = f.read(name_len).decode("utf-8")
-            (dtype_len,) = struct.unpack("<B", f.read(1))
-            dtype = np.dtype(f.read(dtype_len).decode("ascii"))
-            (ndim,) = struct.unpack("<B", f.read(1))
-            shape = tuple(struct.unpack("<I", f.read(4))[0] for _ in range(ndim))
-            n_bytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64)) if ndim else dtype.itemsize
-            raw = f.read(n_bytes)
-            arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-        (meta_len,) = struct.unpack("<Q", f.read(8))
-        meta = json.loads(f.read(meta_len).decode("utf-8"))
+        for i in range(count):
+            name = r.text(r.uint("<H", f"entry {i} name length"), "utf-8", f"entry {i} name")
+            dtype_s = r.text(r.uint("<B", f"{name!r} dtype length"), "ascii", f"{name!r} dtype")
+            try:
+                dtype = np.dtype(dtype_s)
+            except (TypeError, ValueError):
+                dtype = None
+            if dtype is None or dtype.kind not in "biufc":   # plain numbers only
+                r.fail(f"{name!r} has bad dtype {dtype_s!r}")
+            ndim = r.uint("<B", f"{name!r} ndim")
+            shape = tuple(r.uint("<I", f"{name!r} shape") for _ in range(ndim))
+            raw = r.take(dtype.itemsize * math.prod(shape), f"{name!r} data")
+            try:
+                arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+            except ValueError:   # more dims than numpy allows, or an impossible size
+                r.fail(f"{name!r} has bad shape {shape}")
+        meta_b = r.take(r.uint("<Q", "metadata length"), "metadata")
+        try:
+            meta = json.loads(meta_b.decode("utf-8"))
+        except ValueError:   # bad utf-8 or bad JSON
+            meta = None
+        if not isinstance(meta, dict):
+            r.fail("metadata is not a JSON object")
+        if r.left:
+            r.fail(f"{r.left} trailing bytes after the metadata")
     return arrays, meta

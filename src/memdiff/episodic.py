@@ -57,6 +57,7 @@ class EpisodicStore:
         self.entries: "list[EpisodicRecord]" = []
         self.queue: "deque[EpisodicRecord]" = deque()   # index 0 = head, -1 = tail
         self._birth = 0
+        self._stacked = None   # (records, patterns, norms), dropped on every change
 
     def __len__(self):
         return len(self.entries)
@@ -67,6 +68,18 @@ class EpisodicStore:
 
     def _records(self) -> "list[EpisodicRecord]":
         return self.entries + list(self.queue)
+
+    def _stack(self) -> "tuple[list[EpisodicRecord], np.ndarray, np.ndarray]":
+        """Live records, their (n, d) pattern matrix and its row norms.
+
+        Patterns are frozen, so the stack stays valid until the next
+        update or load; the store must not be empty.
+        """
+        if self._stacked is None:
+            recs = self._records()
+            pats = np.stack([r.pattern for r in recs])
+            self._stacked = (recs, pats, attention.row_norms(pats, "block"))
+        return self._stacked
 
     def _new_record(self, pattern: np.ndarray) -> EpisodicRecord:
         pat = np.array(pattern, dtype=np.float64, copy=True)
@@ -83,19 +96,18 @@ class EpisodicStore:
 
     # -- recall ---------------------------------------------------------
 
-    def pattern_matrix(self) -> np.ndarray:
-        recs = self._records()
-        if not recs:
-            return np.zeros((0, self.dim))
-        return np.stack([r.pattern for r in recs])
+    def _cosine(self, queries: np.ndarray):
+        """attention.cosine_matrix against the stacked patterns, reusing their norms."""
+        _, pats, npat = self._stack()
+        nq = attention.row_norms(queries, "query")
+        return (queries @ pats.T) / (nq[:, None] * npat[None, :]), nq
 
     def scores(self, queries: np.ndarray) -> np.ndarray:
         """(R, n_records) cosine score matrix; empty store gives zero columns."""
-        pats = self.pattern_matrix()
-        if pats.shape[0] == 0:
-            return np.zeros((np.atleast_2d(queries).shape[0], 0))
-        s, _, _ = attention.cosine_matrix(pats, np.atleast_2d(queries))
-        return s
+        queries = np.atleast_2d(queries)
+        if self.is_empty:
+            return np.zeros((queries.shape[0], 0))
+        return self._cosine(queries)[0]
 
     def recall(self, queries: np.ndarray, update_freq: bool = True
                ) -> "tuple[np.ndarray, EpisodicRecallTrace | None]":
@@ -106,12 +118,10 @@ class EpisodicStore:
         (the gradient checker re-evaluates the loss without counting).
         """
         queries = np.atleast_2d(queries)
-        r = queries.shape[0]
-        recs = self._records()
-        if not recs:
-            return np.zeros((r, self.dim)), None
-        pats = np.stack([rec.pattern for rec in recs])
-        scores, nq, npat = attention.cosine_matrix(pats, queries)
+        if self.is_empty:
+            return np.zeros((queries.shape[0], self.dim)), None
+        recs, pats, npat = self._stack()
+        scores, nq = self._cosine(queries)
         k = min(self.recall_top_k, len(recs))
         idx = np.argsort(-scores, axis=1, kind="stable")[:, :k]
         sel_scores = np.take_along_axis(scores, idx, axis=1)
@@ -119,9 +129,9 @@ class EpisodicStore:
         gathered = pats[idx]                           # (R, K, d)
         out = np.einsum("rk,rkd->rd", weights, gathered)
         if update_freq:
-            for row in idx:
-                for i in row:
-                    recs[i].freq += 1
+            counts = np.bincount(idx.ravel(), minlength=len(recs)).tolist()
+            for rec, n in zip(recs, counts):
+                rec.freq += n
         trace = EpisodicRecallTrace(queries, idx, gathered, sel_scores,
                                     weights, z, nq, npat[idx])
         return out, trace
@@ -173,6 +183,7 @@ class EpisodicStore:
                 self.queue.appendleft(rec)
         for rec in self.entries:
             rec.freq = 0
+        self._stacked = None
         self._check_invariants()
 
     # -- persistence ----------------------------------------------------
@@ -214,6 +225,7 @@ class EpisodicStore:
                                   arrays[f"{prefix}/queue/freqs"],
                                   arrays[f"{prefix}/queue/births"]))
         self._birth = int(arrays[f"{prefix}/birth_counter"][0])
+        self._stacked = None
         self._check_invariants()
 
 

@@ -11,6 +11,7 @@ Channel-row layout: batched per-channel vectors are stacked as
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,6 +220,15 @@ class ForecastModel:
         self.sched = make_schedule(cfg.diffusion_steps, cfg.schedule_kind,
                                    cfg.beta_min, cfg.beta_max)
 
+    @functools.cached_property
+    def step_table(self) -> np.ndarray:
+        """(K, E) step embeddings, row k-1 for step k.
+
+        Rows come from denoiser.step_embedding itself, so they keep its bits.
+        """
+        return np.stack([denoiser.step_embedding(k, self.cfg.embed_dim)
+                         for k in range(1, self.cfg.diffusion_steps + 1)])
+
     # -- training loss ----------------------------------------------------
 
     def _channel_rows(self, blocks: np.ndarray) -> np.ndarray:
@@ -272,8 +282,7 @@ class ForecastModel:
         abar = self.sched.alpha_bar[draws.k - 1][:, None, None]
         y_k = np.sqrt(abar) * batch_y + np.sqrt(1.0 - abar) * draws.eps_forward
 
-        embeds = np.stack([denoiser.step_embedding(int(k), cfg.embed_dim) for k in draws.k])
-        embed_rows = np.repeat(embeds, cfg.n_channels, axis=0)
+        embed_rows = np.repeat(self.step_table[draws.k - 1], cfg.n_channels, axis=0)
         y0_rows, den_trace = denoiser.denoise_rows(
             self.den, self._channel_rows(y_k), self._channel_rows(c_mix), embed_rows)
 
@@ -329,7 +338,9 @@ class ForecastModel:
         c, _ = self.condition_for(x0)
 
         def predict(y_k, k):
-            return denoiser.denoise_predict(self.den, y_k, k, c, cfg.embed_dim)
+            embed_rows = np.broadcast_to(self.step_table[k - 1], (cfg.n_channels, cfg.embed_dim))
+            y0_rows, _ = denoiser.denoise_rows(self.den, y_k.T, c.T, embed_rows)
+            return y0_rows.T
 
         if cfg.ancestral:
             return denoiser.ddpm_sample(predict, cfg.horizon, cfg.n_channels, self.sched, rng)

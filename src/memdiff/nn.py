@@ -15,6 +15,10 @@ import numpy as np
 
 from .errors import DataError, InvariantError, NumericError
 
+# Adam updates the arena this many coordinates at a time, so its scratch
+# stays two small cache-resident buffers whatever the model size.
+ADAM_CHUNK = 16384
+
 
 class ParamTensor:
     """A named learnable array with a same-shape gradient buffer."""
@@ -30,25 +34,38 @@ class ParamTensor:
     def shape(self):
         return self.values.shape
 
-    def zero_grad(self):
-        self.grad[...] = 0.0
-
     def __repr__(self):
         return f"ParamTensor({self.id!r}, shape={self.values.shape})"
 
 
 class ParamStore:
-    """Ordered registry of ParamTensors, keyed by stable id."""
+    """Ordered registry of ParamTensors, keyed by stable id.
+
+    Values and gradients live in two contiguous arena vectors, built on
+    first use (``arena``, which zero_grads, clip_global_norm and Adam call);
+    from then on every ParamTensor's ``values`` / ``grad`` is a reshaped
+    view into them, so whole-model passes are single vector operations.
+    Each tensor is preceded by one arena slot that stays zero: per-tensor
+    ``np.add.reduceat`` sums then start from 0 exactly as ``np.sum`` does,
+    which keeps the global norm bit-identical to a per-tensor loop.
+    Registering after the arena exists rebuilds it on the next use.
+    """
 
     def __init__(self, dtype=np.float64):
         self.dtype = np.dtype(dtype)
         self._params: "dict[str, ParamTensor]" = {}
+        self._values: "np.ndarray | None" = None
+        self._grad: "np.ndarray | None" = None
+        self._pads = np.zeros(0, dtype=np.intp)   # arena index of each zero slot
+        # (id, start, stop, shape) per tensor, in registration order
+        self.layout: "tuple[tuple[str, int, int, tuple], ...]" = ()
 
     def register(self, id: str, values: np.ndarray) -> ParamTensor:
         if id in self._params:
             raise InvariantError(f"duplicate parameter id {id!r}")
         p = ParamTensor(id, np.asarray(values, dtype=self.dtype))
         self._params[id] = p
+        self._values = self._grad = None
         return p
 
     def __getitem__(self, id: str) -> ParamTensor:
@@ -63,34 +80,45 @@ class ParamStore:
     def __len__(self):
         return len(self._params)
 
-    def ids(self):
-        return list(self._params.keys())
+    def arena(self) -> "tuple[np.ndarray, np.ndarray]":
+        """The contiguous (values, grad) vectors every ParamTensor views into."""
+        if self._values is None:
+            layout, n = [], 0
+            for p in self._params.values():
+                layout.append((p.id, n + 1, n + 1 + p.values.size, p.values.shape))
+                n += p.values.size + 1
+            values = np.zeros(n, dtype=self.dtype)
+            grad = np.zeros(n, dtype=self.dtype)
+            for p, (_, lo, hi, shape) in zip(self._params.values(), layout):
+                values[lo:hi] = p.values.reshape(-1)
+                grad[lo:hi] = p.grad.reshape(-1)
+                p.values = values[lo:hi].reshape(shape)
+                p.grad = grad[lo:hi].reshape(shape)
+            self._values, self._grad = values, grad
+            self._pads = np.array([lo - 1 for _, lo, _, _ in layout], dtype=np.intp)
+            self.layout = tuple(layout)
+        return self._values, self._grad
+
+    def id_at(self, index: int) -> str:
+        """Id of the tensor holding arena coordinate ``index``."""
+        return self.layout[int(np.searchsorted(self._pads, index, side="right")) - 1][0]
 
     def zero_grads(self):
-        for p in self._params.values():
-            p.zero_grad()
-
-    def n_coords(self) -> int:
-        return sum(p.values.size for p in self._params.values())
+        self.arena()[1].fill(0.0)
 
     def clip_global_norm(self, max_norm: float) -> float:
         """Scale all gradients so their joint L2 norm is at most max_norm."""
+        _, grad = self.arena()
         sq = 0.0
-        for p in self._params.values():
-            sq += float(np.sum(p.grad * p.grad))
+        for part in np.add.reduceat(grad * grad, self._pads).tolist():
+            sq += part   # per-tensor sums added in registration order
         norm = np.sqrt(sq)
         if norm > max_norm and norm > 0.0:
-            scale = max_norm / norm
-            for p in self._params.values():
-                p.grad *= scale
+            grad *= max_norm / norm
         return float(norm)
 
     def snapshot(self) -> "dict[str, np.ndarray]":
         return {k: p.values.copy() for k, p in self._params.items()}
-
-    def restore(self, snap: "dict[str, np.ndarray]"):
-        for k, vals in snap.items():
-            self._params[k].values[...] = vals
 
 
 def _silu(z):
@@ -180,50 +208,98 @@ class Mlp:
 
 
 class Adam:
-    """Adam with bias correction; state keyed by parameter id."""
+    """Adam with bias correction over a ParamStore's arena.
+
+    The moments ``m`` and ``v`` are flat vectors laid out like the arena
+    of the store last stepped. Checkpoints keep them per parameter id
+    (``adam/m/<id>``, ``adam/v/<id>``); moments that are not laid out yet
+    (freshly loaded, or of ids the current store lacks) wait in ``_loose``.
+    """
 
     def __init__(self, lr: float = 1e-3, betas=(0.9, 0.999), eps: float = 1e-8):
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.t = 0
-        self.m: "dict[str, np.ndarray]" = {}
-        self.v: "dict[str, np.ndarray]" = {}
+        self.m: "np.ndarray | None" = None
+        self.v: "np.ndarray | None" = None
+        self._layout: "tuple | None" = None
+        self._loose: "dict[str, dict[str, np.ndarray]]" = {"m": {}, "v": {}}
+        self._scratch: "np.ndarray | None" = None
+
+    def _moments(self, which: str) -> "dict[str, np.ndarray]":
+        """Per-id arrays of moment ``which``: views into the flat state plus the loose ones."""
+        flat = getattr(self, which)
+        out = {} if flat is None else {
+            pid: flat[lo:hi].reshape(shape) for pid, lo, hi, shape in self._layout}
+        out.update(self._loose[which])
+        return out
+
+    def _adopt(self, params: ParamStore):
+        """Lay the moments out like params' arena, keeping every id's state."""
+        size = params.arena()[0].size
+        for which in ("m", "v"):
+            moments = self._moments(which)
+            flat = np.zeros(size, dtype=params.dtype)
+            for pid, lo, hi, _ in params.layout:
+                if pid in moments:
+                    flat[lo:hi] = moments.pop(pid).reshape(-1)
+            setattr(self, which, flat)
+            self._loose[which] = moments
+        self._layout = params.layout
 
     def step(self, params: ParamStore):
         """One in-place update. Aborts (no mutation) on a non-finite gradient."""
-        for p in params:
-            if not np.all(np.isfinite(p.grad)):
-                raise NumericError(f"non-finite gradient in parameter {p.id!r}")
+        values, grad = params.arena()
+        finite = np.isfinite(grad)
+        if not finite.all():
+            bad = params.id_at(int(np.argmin(finite)))
+            raise NumericError(f"non-finite gradient in parameter {bad!r}")
+        if self._layout is not params.layout:
+            self._adopt(params)
+        if self._scratch is None or self._scratch.dtype != values.dtype:
+            self._scratch = np.empty((2, ADAM_CHUNK), dtype=values.dtype)
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for p in params:
-            m = self.m.setdefault(p.id, np.zeros_like(p.values))
-            v = self.v.setdefault(p.id, np.zeros_like(p.values))
+        c1, c2 = 1.0 - self.beta1, 1.0 - self.beta2
+        for lo in range(0, values.size, ADAM_CHUNK):
+            p, g = values[lo:lo + ADAM_CHUNK], grad[lo:lo + ADAM_CHUNK]
+            m, v = self.m[lo:lo + ADAM_CHUNK], self.v[lo:lo + ADAM_CHUNK]
+            tmp, den = self._scratch[0, :p.size], self._scratch[1, :p.size]
+            # m = b1 m + (1-b1) g;  v = b2 v + (1-b2) g g
+            # p -= lr (m / b1t) / (sqrt(v / b2t) + eps), in this operation order
             m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
+            np.multiply(g, c1, out=tmp)
+            m += tmp
             v *= self.beta2
-            v += (1.0 - self.beta2) * p.grad * p.grad
-            p.values -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            np.multiply(g, c2, out=tmp)
+            tmp *= g
+            v += tmp
+            np.divide(m, b1t, out=tmp)
+            tmp *= self.lr
+            np.divide(v, b2t, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
+            tmp /= den
+            p -= tmp
 
     def state_arrays(self) -> "dict[str, np.ndarray]":
         out = {"adam/t": np.array([self.t], dtype=np.int64)}
-        for k, m in self.m.items():
-            out[f"adam/m/{k}"] = m
-        for k, v in self.v.items():
-            out[f"adam/v/{k}"] = v
+        for which in ("m", "v"):
+            for pid, arr in self._moments(which).items():
+                out[f"adam/{which}/{pid}"] = arr
         return out
 
     def load_state_arrays(self, arrays: "dict[str, np.ndarray]"):
         self.t = int(arrays["adam/t"][0])
-        self.m = {}
-        self.v = {}
+        self.m = self.v = self._layout = None
+        self._loose = {"m": {}, "v": {}}
         for name, arr in arrays.items():
-            if name.startswith("adam/m/"):
-                self.m[name[len("adam/m/"):]] = arr.copy()
-            elif name.startswith("adam/v/"):
-                self.v[name[len("adam/v/"):]] = arr.copy()
+            for which in ("m", "v"):
+                prefix = f"adam/{which}/"
+                if name.startswith(prefix):
+                    self._loose[which][name[len(prefix):]] = arr.copy()
 
 
 def adam_step(params: ParamStore, lr: float, betas, eps: float, t: int):

@@ -176,6 +176,19 @@ class TestCliCommands:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DataError"
 
+    def test_truncated_checkpoint_is_data_error(self, tmp_path, tiny_cfg_file, capsys):
+        out = str(tmp_path / "run")
+        assert run(["train", "--config", tiny_cfg_file, "--out", out, "--seed", "1"]) == 0
+        ckpt = os.path.join(out, "checkpoint.bin")
+        with open(ckpt, "rb") as f:
+            blob = f.read()
+        with open(ckpt, "wb") as f:
+            f.write(blob[:40])
+        capsys.readouterr()
+        assert run(["evaluate", "--config", tiny_cfg_file, "--out", out, "--seed", "1"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError" and "checkpoint.bin" in err["message"]
+
     def test_input_files_not_mutated(self, tmp_path):
         from memdiff.data import dataset_to_csv, synth_generate as gen
         from memdiff import SynthSpec

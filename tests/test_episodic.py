@@ -174,6 +174,27 @@ class TestUpdateEdges:
             np.testing.assert_array_equal(a.pattern, b.pattern)
             assert (a.freq, a.birth) == (b.freq, b.birth)
 
+    def test_recall_sees_every_update_and_load(self):
+        store = EpisodicStore(dim=2, capacity=2, queue_capacity=1, recall_top_k=1)
+        store.update(unit(0)[None])
+        out, _ = store.recall(unit(90)[None], update_freq=False)
+        np.testing.assert_allclose(out[0], unit(0))
+        store.update(unit(90)[None])
+        out, _ = store.recall(unit(90)[None], update_freq=False)
+        np.testing.assert_allclose(out[0], unit(90))
+        assert store.scores(unit(90)[None]).shape == (1, 2)
+        other = EpisodicStore(dim=2, capacity=2, queue_capacity=1, recall_top_k=1)
+        other.update(unit(180)[None])
+        store.load_state_arrays(other.state_arrays())
+        out, _ = store.recall(unit(90)[None], update_freq=False)
+        np.testing.assert_allclose(out[0], unit(180))
+
+    def test_recall_counts_repeated_picks(self):
+        store = EpisodicStore(dim=2, capacity=3, queue_capacity=3, recall_top_k=2)
+        store.update(np.stack([unit(0), unit(45), unit(180)]))
+        store.recall(np.stack([unit(10), unit(20), unit(170)]))
+        assert [r.freq for r in store.entries] == [2, 3, 1]
+
 
 class TestSelectSpecial:
     def test_batch_of_one(self):

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import tiny_config, tiny_trainer
 
-from memdiff import ForecastModel, draw_step_randomness, finite_diff_check
+from memdiff import ForecastModel, draw_step_randomness, finite_diff_check, step_embedding
 from memdiff.errors import DataError
 
 
@@ -23,6 +23,16 @@ def populate_episodic(model, rng, updates=3):
     for _ in range(updates):
         model.episodic.update(rng.standard_normal((model.cfg.n_channels,
                                                    model.cfg.latent_dim)))
+
+
+class TestStepTable:
+    def test_rows_are_step_embeddings(self):
+        cfg = tiny_config()
+        model = seeded_model(cfg)
+        assert model.step_table.shape == (cfg.diffusion_steps, cfg.embed_dim)
+        for k in range(1, cfg.diffusion_steps + 1):
+            np.testing.assert_array_equal(model.step_table[k - 1],
+                                          step_embedding(k, cfg.embed_dim))
 
 
 class TestLossGradients:

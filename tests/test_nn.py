@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from memdiff import Adam, Mlp, ParamStore, adam_step, finite_diff_check
-from memdiff import checkpoint
+from memdiff import Adam, ForecastModel, Mlp, ParamStore, adam_step, finite_diff_check
+from memdiff import checkpoint, nn
 from memdiff.errors import DataError, InvariantError, NumericError
+from conftest import tiny_config
 
 
 def make_net(widths, activation="relu", seed=0):
@@ -149,6 +150,201 @@ class TestAdam:
             np.testing.assert_array_equal(results[0][pid], results[1][pid])
 
 
+def reference_adam(values, grad_steps, lr=1e-3, betas=(0.9, 0.999), eps=1e-8,
+                   m=None, v=None, t=0):
+    """Per-tensor Adam with moments keyed by id, one tensor at a time."""
+    beta1, beta2 = betas
+    values = {k: a.copy() for k, a in values.items()}
+    m = {k: a.copy() for k, a in (m or {}).items()}
+    v = {k: a.copy() for k, a in (v or {}).items()}
+    for grads in grad_steps:
+        t += 1
+        b1t = 1.0 - beta1 ** t
+        b2t = 1.0 - beta2 ** t
+        for k, g in grads.items():
+            mk = m.setdefault(k, np.zeros_like(values[k]))
+            vk = v.setdefault(k, np.zeros_like(values[k]))
+            mk *= beta1
+            mk += (1.0 - beta1) * g
+            vk *= beta2
+            vk += (1.0 - beta2) * g * g
+            values[k] -= lr * (mk / b1t) / (np.sqrt(vk / b2t) + eps)
+    return values, m, v
+
+
+def random_grads(store, rng, scale=1.0):
+    return {p.id: (scale * rng.standard_normal(p.shape)).astype(store.dtype) for p in store}
+
+
+class TestParamArena:
+    def test_tensors_view_one_arena(self):
+        store, _ = make_net([3, 5, 2])
+        values, grad = store.arena()
+        for p in store:
+            assert np.shares_memory(p.values, values)
+            assert np.shares_memory(p.grad, grad)
+        # writes through a tensor land in the arena
+        store.zero_grads()
+        store["net/W1"].grad[...] = 2.0
+        assert grad.sum() == 2.0 * store["net/W1"].grad.size
+
+    def test_arena_keeps_registered_values(self):
+        store, _ = make_net([4, 6, 3], seed=2)
+        before = store.snapshot()
+        store.arena()
+        for pid, vals in before.items():
+            np.testing.assert_array_equal(store[pid].values, vals)
+
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    @pytest.mark.parametrize("chunk", [7, nn.ADAM_CHUNK])
+    def test_adam_matches_per_tensor_reference(self, precision, chunk, monkeypatch):
+        monkeypatch.setattr(nn, "ADAM_CHUNK", chunk)
+        store = ForecastModel(tiny_config(precision=precision),
+                              np.random.default_rng(0)).params
+        assert store.dtype == (np.float64 if precision == "double" else np.float32)
+        rng = np.random.default_rng(1)
+        steps = [random_grads(store, rng, scale=10.0 ** -i) for i in range(6)]
+        want, want_m, want_v = reference_adam(store.snapshot(), steps, lr=0.01)
+        opt = Adam(lr=0.01)
+        for grads in steps:
+            for p in store:
+                p.grad[...] = grads[p.id]
+            opt.step(store)
+        state = opt.state_arrays()
+        for p in store:
+            assert p.values.dtype == store.dtype
+            np.testing.assert_array_equal(p.values, want[p.id])
+            np.testing.assert_array_equal(state[f"adam/m/{p.id}"], want_m[p.id])
+            np.testing.assert_array_equal(state[f"adam/v/{p.id}"], want_v[p.id])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_clip_returns_the_per_tensor_sum(self, dtype):
+        rng = np.random.default_rng(4)
+        store = ParamStore(dtype)
+        for i, shape in enumerate([(3,), (8,), (24, 32), (129,), (1,), (64, 40), (17, 3)]):
+            store.register(f"p{i}", rng.standard_normal(shape))
+        for p in store:
+            p.grad[...] = rng.standard_normal(p.shape) * rng.uniform(0.1, 3.0)
+        grads = {p.id: p.grad.copy() for p in store}
+        sq = 0.0
+        for g in grads.values():
+            sq += float(np.sum(g * g))
+        norm = store.clip_global_norm(1.0)
+        assert norm == float(np.sqrt(sq))
+        scale = 1.0 / np.sqrt(sq)
+        for p in store:
+            want = grads[p.id].copy()
+            want *= scale
+            np.testing.assert_array_equal(p.grad, want)
+
+    def test_clip_below_threshold_leaves_grads(self):
+        store, _ = make_net([3, 4, 2])
+        for p in store:
+            p.grad[...] = 1e-3
+        store.clip_global_norm(1.0)
+        for p in store:
+            np.testing.assert_array_equal(p.grad, 1e-3)
+
+    def test_nonfinite_gradient_names_tensor_and_mutates_nothing(self):
+        store, _ = make_net([3, 4, 4, 2], seed=1)
+        rng = np.random.default_rng(2)
+        opt = Adam(lr=0.1)
+        for p in store:
+            p.grad[...] = rng.standard_normal(p.shape)
+        opt.step(store)
+        before = store.snapshot()
+        state = {k: a.copy() for k, a in opt.state_arrays().items()}
+        store["net/W1"].grad[2, 1] = np.inf
+        with pytest.raises(NumericError, match="'net/W1'"):
+            opt.step(store)
+        for pid, vals in before.items():
+            np.testing.assert_array_equal(store[pid].values, vals)
+        after = opt.state_arrays()
+        assert set(after) == set(state)
+        for k in state:
+            np.testing.assert_array_equal(after[k], state[k])
+
+    def test_register_after_a_step(self):
+        store = ParamStore()
+        a = store.register("a", np.arange(3.0))
+        opt = Adam(lr=0.1)
+        rng = np.random.default_rng(5)
+        g1 = {"a": rng.standard_normal(3)}
+        g2 = {"a": rng.standard_normal(3), "b": rng.standard_normal((2, 2))}
+        a.grad[...] = g1["a"]
+        opt.step(store)
+        b = store.register("b", np.ones((2, 2)))
+        for k, g in g2.items():
+            store[k].grad[...] = g
+        opt.step(store)
+        want, want_m, _ = reference_adam({"a": np.arange(3.0), "b": np.ones((2, 2))},
+                                         [g1, g2], lr=0.1)
+        # the tensors handed out by register are the ones that moved
+        np.testing.assert_array_equal(a.values, want["a"])
+        np.testing.assert_array_equal(b.values, want["b"])
+        np.testing.assert_array_equal(opt.state_arrays()["adam/m/a"], want_m["a"])
+        assert np.shares_memory(a.values, store.arena()[0])
+        assert np.shares_memory(b.grad, store.arena()[1])
+
+
+class TestAdamCheckpointFormat:
+    def test_fresh_state_has_no_moments(self):
+        arrays = Adam().state_arrays()
+        assert list(arrays) == ["adam/t"] and arrays["adam/t"][0] == 0
+
+    def test_t0_without_moments_loads_and_steps_like_fresh(self):
+        stores = [make_net([3, 4, 2], seed=6)[0] for _ in range(2)]
+        loaded = Adam(lr=0.05)
+        loaded.load_state_arrays({"adam/t": np.array([0], dtype=np.int64)})
+        assert set(loaded.state_arrays()) == {"adam/t"}
+        for store, opt in zip(stores, (loaded, Adam(lr=0.05))):
+            for p in store:
+                p.grad[...] = 0.5
+            opt.step(store)
+        for pid, vals in stores[0].snapshot().items():
+            np.testing.assert_array_equal(vals, stores[1][pid].values)
+
+    def test_per_id_state_loads_round_trips_and_resumes(self, tmp_path):
+        store, _ = make_net([3, 4, 2], seed=7)
+        rng = np.random.default_rng(8)
+        m = {p.id: rng.standard_normal(p.shape) for p in store}
+        v = {p.id: rng.uniform(0.1, 1.0, p.shape) for p in store}
+        arrays = {"adam/t": np.array([3], dtype=np.int64)}
+        arrays.update({f"adam/m/{k}": a for k, a in m.items()})
+        arrays.update({f"adam/v/{k}": a for k, a in v.items()})
+        path = str(tmp_path / "adam.bin")
+        checkpoint.save(path, arrays)
+        opt = Adam(lr=0.01)
+        opt.load_state_arrays(checkpoint.load(path)[0])
+        state = opt.state_arrays()
+        assert set(state) == set(arrays)
+        for k, a in arrays.items():
+            np.testing.assert_array_equal(state[k], a)
+        grads = random_grads(store, rng)
+        want, want_m, want_v = reference_adam(store.snapshot(), [grads], lr=0.01,
+                                              m=m, v=v, t=3)
+        for p in store:
+            p.grad[...] = grads[p.id]
+        opt.step(store)
+        state = opt.state_arrays()
+        assert state["adam/t"][0] == 4 and len(state) == len(arrays)
+        for p in store:
+            np.testing.assert_array_equal(p.values, want[p.id])
+            np.testing.assert_array_equal(state[f"adam/m/{p.id}"], want_m[p.id])
+            np.testing.assert_array_equal(state[f"adam/v/{p.id}"], want_v[p.id])
+
+    def test_moments_of_absent_ids_are_kept(self):
+        store, _ = make_net([2, 2], seed=0)
+        opt = Adam()
+        opt.load_state_arrays({"adam/t": np.array([1], dtype=np.int64),
+                               "adam/m/gone": np.ones(3), "adam/v/gone": np.ones(3)})
+        store.zero_grads()
+        opt.step(store)
+        state = opt.state_arrays()
+        np.testing.assert_array_equal(state["adam/m/gone"], np.ones(3))
+        assert {f"adam/m/{p.id}" for p in store} <= set(state)
+
+
 class TestFiniteDiffCheck:
     def test_quadratic_loss(self):
         store = ParamStore()
@@ -221,4 +417,51 @@ class TestCheckpoint:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(DataError):
+            checkpoint.load(str(path))
+
+    @staticmethod
+    def saved(tmp_path, meta=None) -> bytes:
+        rng = np.random.default_rng(9)
+        arrays = {"param/w": rng.standard_normal((4, 3)), "adam/t": np.array([2], dtype=np.int64),
+                  "episodic/0/birth_counter": np.array([5], dtype=np.int64)}
+        path = tmp_path / "good.bin"
+        checkpoint.save(str(path), arrays, meta or {"step": 2})
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("cut", [3, 20, 40, -3, -1])
+    def test_truncated_file_is_data_error_naming_it(self, tmp_path, cut):
+        blob = self.saved(tmp_path)
+        path = tmp_path / "cut.bin"
+        path.write_bytes(blob[:cut])
+        with pytest.raises(DataError, match="cut.bin"):
+            checkpoint.load(str(path))
+
+    def test_every_prefix_is_data_error(self, tmp_path):
+        blob = self.saved(tmp_path)
+        path = tmp_path / "prefix.bin"
+        for n in range(len(blob)):
+            path.write_bytes(blob[:n])
+            with pytest.raises(DataError):
+                checkpoint.load(str(path))
+
+    def test_garbled_metadata_is_data_error(self, tmp_path):
+        blob = self.saved(tmp_path)
+        path = tmp_path / "meta.bin"
+        path.write_bytes(blob[:-2] + b"\xff}")
+        with pytest.raises(DataError, match="metadata"):
+            checkpoint.load(str(path))
+
+    def test_huge_length_is_data_error(self, tmp_path):
+        blob = self.saved(tmp_path, meta={"k": "v"})
+        meta_len = len(b'{"k":"v"}')
+        bad = blob[:-meta_len - 8] + (2 ** 62).to_bytes(8, "little") + blob[-meta_len:]
+        path = tmp_path / "huge.bin"
+        path.write_bytes(bad)
+        with pytest.raises(DataError, match="metadata"):
+            checkpoint.load(str(path))
+
+    def test_trailing_bytes_are_data_error(self, tmp_path):
+        path = tmp_path / "tail.bin"
+        path.write_bytes(self.saved(tmp_path) + b"\0")
+        with pytest.raises(DataError, match="trailing"):
             checkpoint.load(str(path))
