@@ -17,13 +17,22 @@ WEIGHT_EPS = 1e-8
 _NORM_FLOOR = 1e-30
 
 
-def row_norms(x: np.ndarray, what: str) -> np.ndarray:
-    """L2 norms of rows, rejecting numerically zero vectors."""
-    norms = np.sqrt(np.sum(x * x, axis=-1))
-    if np.any(norms < _NORM_FLOOR):
+def check_norms(norms: np.ndarray, what: str) -> np.ndarray:
+    """Return norms unchanged, rejecting numerically zero vectors."""
+    if (norms < _NORM_FLOOR).any():
         bad = int(np.argmax(norms < _NORM_FLOOR))
         raise NumericError(f"zero-norm {what} vector at index {bad}")
     return norms
+
+
+def l2_norms(x: np.ndarray) -> np.ndarray:
+    """L2 norms of rows, unchecked."""
+    return np.sqrt((x * x).sum(axis=-1))
+
+
+def row_norms(x: np.ndarray, what: str) -> np.ndarray:
+    """L2 norms of rows, rejecting numerically zero vectors."""
+    return check_norms(l2_norms(x), what)
 
 
 def cosine_score(block: np.ndarray, query: np.ndarray) -> float:
@@ -44,6 +53,31 @@ def cosine_matrix(blocks: np.ndarray, queries: np.ndarray):
     nq = row_norms(queries, "query")
     scores = (queries @ blocks.T) / (nq[:, None] * nb[None, :])
     return scores, nq, nb
+
+
+def top_k(scores: np.ndarray, k: int) -> "tuple[np.ndarray, np.ndarray]":
+    """(R, k) column indices and values of each row's k largest scores.
+
+    Picks exactly what ``np.argsort(-scores, axis=1, kind="stable")[:, :k]``
+    picks, in the same order: ties go to the lowest index. That holds for
+    rows without NaN and for all-NaN rows. k argmax passes, each masking
+    its pick with -inf, cost far less than the full sort when k is small.
+    ``scores`` serves as the scratch: do not read it afterwards.
+    """
+    scores = np.ascontiguousarray(scores)
+    rows, cols = scores.shape
+    flat = scores.reshape(-1)                 # a view, so masking reaches scores
+    row_start = np.arange(0, rows * cols, cols)
+    idx = np.empty((rows, k), dtype=np.intp)
+    vals = np.empty((rows, k), dtype=scores.dtype)
+    for j in range(k):
+        col = scores.argmax(axis=1)
+        idx[:, j] = col
+        at = row_start + col
+        vals[:, j] = flat[at]
+        if j + 1 < k:
+            flat[at] = -np.inf
+    return idx, vals
 
 
 def clamp_normalize(scores: np.ndarray):

@@ -118,3 +118,12 @@ def load(path: str) -> "tuple[dict[str, np.ndarray], dict]":
         if r.left:
             r.fail(f"{r.left} trailing bytes after the metadata")
     return arrays, meta
+
+
+def require(arrays: "dict[str, np.ndarray]", name: str) -> np.ndarray:
+    """arrays[name]; a missing array raises DataError naming it."""
+    try:
+        return arrays[name]
+    except KeyError:
+        raise DataError(f"checkpoint has no array {name!r} "
+                        "(written under another config?)") from None

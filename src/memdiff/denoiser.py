@@ -14,6 +14,8 @@ channels forecast identically.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DataError, InvariantError
@@ -75,10 +77,16 @@ def ddpm_step(y_k: np.ndarray, k: int, y0_hat: np.ndarray, sched: NoiseSchedule,
 
 def sampling_steps(steps: int, substeps: int) -> "list[int]":
     """Strictly decreasing step subsequence from K toward 1."""
+    return list(_sampling_steps(steps, substeps))
+
+
+@functools.lru_cache(maxsize=64)
+def _sampling_steps(steps: int, substeps: int) -> "tuple[int, ...]":
+    """sampling_steps as an immutable tuple, computed once per (steps, substeps)."""
     if not 1 <= substeps <= steps:
         raise DataError(f"substeps must lie in 1..{steps}, got {substeps}")
     ks = np.unique(np.round(np.linspace(steps, 1, substeps)).astype(int))[::-1]
-    return [int(k) for k in ks]
+    return tuple(int(k) for k in ks)
 
 
 def init_noise(rng: np.random.Generator, horizon: int, n_channels: int) -> np.ndarray:
@@ -94,7 +102,7 @@ def ddim_sample(predict_fn, horizon: int, n_channels: int, sched: NoiseSchedule,
     from the Gaussian start through the model's x0 prediction.
     """
     y = init_noise(rng, horizon, n_channels)
-    ks = sampling_steps(sched.steps, substeps)
+    ks = _sampling_steps(sched.steps, substeps)
     for i, k in enumerate(ks):
         abar_k = sched.alpha_bar[k - 1]
         y0_hat = predict_fn(y, k)

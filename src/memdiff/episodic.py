@@ -11,23 +11,22 @@ from the low-frequency churn that would otherwise replace them at once.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import attention
-from .errors import InvariantError
+from .checkpoint import require
+from .errors import DataError, InvariantError
 
 
 @dataclass
 class EpisodicRecord:
+    """Read-only snapshot of one live record (see EpisodicStore.records)."""
+
     pattern: np.ndarray    # frozen (d,) snapshot, never touched by gradients
     freq: int
     birth: int             # global insertion counter, breaks ranking ties
-
-    def clone(self) -> "EpisodicRecord":
-        return EpisodicRecord(self.pattern, self.freq, self.birth)
 
 
 @dataclass
@@ -43,7 +42,15 @@ class EpisodicRecallTrace:
 
 
 class EpisodicStore:
-    """Capacity-limited pattern store with recall counting and queue-guarded eviction."""
+    """Capacity-limited pattern store with recall counting and queue-guarded eviction.
+
+    Preallocated arrays of capacity + queue_capacity rows hold the records:
+    pattern, pattern norm (taken once, at insertion), recall frequency and
+    birth. The live rows are the main slots first, then the queue from head
+    to tail; a record's index in recall is its row. Recall reads the live
+    rows in place; ``entries``, ``queue`` and ``records`` build read-only
+    EpisodicRecord snapshots of them.
+    """
 
     def __init__(self, dim: int, capacity: int, queue_capacity: int, recall_top_k: int = 5):
         if queue_capacity > capacity:
@@ -54,53 +61,57 @@ class EpisodicStore:
         self.capacity = capacity
         self.queue_capacity = queue_capacity
         self.recall_top_k = recall_top_k
-        self.entries: "list[EpisodicRecord]" = []
-        self.queue: "deque[EpisodicRecord]" = deque()   # index 0 = head, -1 = tail
+        rows = capacity + queue_capacity
+        self._patterns = np.zeros((rows, dim))
+        self._norms = np.zeros(rows)
+        self._freqs = np.zeros(rows, dtype=np.int64)
+        self._births = np.zeros(rows, dtype=np.int64)
+        self._columns = (self._patterns, self._norms, self._freqs, self._births)
+        self._rows = np.arange(rows)
+        self._n_main = 0    # rows [0, _n_main) are the main slots
+        self._n_queue = 0   # the next _n_queue rows the queue, head first
         self._birth = 0
-        self._stacked = None   # (records, patterns, norms), dropped on every change
 
     def __len__(self):
-        return len(self.entries)
+        return self._n_main
 
     @property
     def is_empty(self) -> bool:
-        return not self.entries and not self.queue
+        return self._n_main + self._n_queue == 0
 
-    def _records(self) -> "list[EpisodicRecord]":
-        return self.entries + list(self.queue)
+    def _snapshot(self, lo: int, hi: int) -> "list[EpisodicRecord]":
+        patterns = self._patterns[lo:hi].copy()
+        patterns.setflags(write=False)
+        return [EpisodicRecord(p, f, b) for p, f, b in zip(
+            patterns, self._freqs[lo:hi].tolist(), self._births[lo:hi].tolist())]
 
-    def _stack(self) -> "tuple[list[EpisodicRecord], np.ndarray, np.ndarray]":
-        """Live records, their (n, d) pattern matrix and its row norms.
+    @property
+    def entries(self) -> "list[EpisodicRecord]":
+        return self._snapshot(0, self._n_main)
 
-        Patterns are frozen, so the stack stays valid until the next
-        update or load; the store must not be empty.
-        """
-        if self._stacked is None:
-            recs = self._records()
-            pats = np.stack([r.pattern for r in recs])
-            self._stacked = (recs, pats, attention.row_norms(pats, "block"))
-        return self._stacked
+    @property
+    def queue(self) -> "list[EpisodicRecord]":
+        """Queued records, head (newest) first."""
+        return self._snapshot(self._n_main, self._n_main + self._n_queue)
 
-    def _new_record(self, pattern: np.ndarray) -> EpisodicRecord:
-        pat = np.array(pattern, dtype=np.float64, copy=True)
-        pat.setflags(write=False)
-        rec = EpisodicRecord(pat, 0, self._birth)
-        self._birth += 1
-        return rec
+    @property
+    def records(self) -> "list[EpisodicRecord]":
+        """Every live record in recall-index order: entries, then the queue."""
+        return self._snapshot(0, self._n_main + self._n_queue)
 
-    def _check_invariants(self):
-        if len(self.entries) > self.capacity:
-            raise InvariantError("episodic entries exceed capacity")
-        if len(self.queue) > self.queue_capacity:
-            raise InvariantError("episodic queue exceeds capacity")
+    def _put(self, dst: int, fresh: tuple, lo: int, hi: int):
+        """Write rows [lo, hi) of the fresh columns at row dst onwards."""
+        for col, new in zip(self._columns, fresh):
+            col[dst:dst + hi - lo] = new[lo:hi]
 
     # -- recall ---------------------------------------------------------
 
     def _cosine(self, queries: np.ndarray):
-        """attention.cosine_matrix against the stacked patterns, reusing their norms."""
-        _, pats, npat = self._stack()
+        """attention.cosine_matrix against the live patterns, reusing their norms."""
+        n = self._n_main + self._n_queue
+        npat = attention.check_norms(self._norms[:n], "block")
         nq = attention.row_norms(queries, "query")
-        return (queries @ pats.T) / (nq[:, None] * npat[None, :]), nq
+        return (queries @ self._patterns[:n].T) / (nq[:, None] * npat[None, :]), nq
 
     def scores(self, queries: np.ndarray) -> np.ndarray:
         """(R, n_records) cosine score matrix; empty store gives zero columns."""
@@ -113,27 +124,24 @@ class EpisodicStore:
                ) -> "tuple[np.ndarray, EpisodicRecallTrace | None]":
         """Weighted sum of the top-k most similar records per query row.
 
-        An empty store recalls the zero vector. Each recalled record's
-        freq is incremented once per query row unless update_freq is off
-        (the gradient checker re-evaluates the loss without counting).
+        Ties between equal scores go to the lower record index. An empty
+        store recalls the zero vector. Each recalled record's freq is
+        incremented once per query row unless update_freq is off (the
+        gradient checker re-evaluates the loss without counting).
         """
         queries = np.atleast_2d(queries)
         if self.is_empty:
             return np.zeros((queries.shape[0], self.dim)), None
-        recs, pats, npat = self._stack()
+        n = self._n_main + self._n_queue
         scores, nq = self._cosine(queries)
-        k = min(self.recall_top_k, len(recs))
-        idx = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-        sel_scores = np.take_along_axis(scores, idx, axis=1)
+        idx, sel_scores = attention.top_k(scores, min(self.recall_top_k, n))
         weights, z = attention.clamp_normalize(sel_scores)
-        gathered = pats[idx]                           # (R, K, d)
+        gathered = self._patterns[idx]                 # (R, K, d)
         out = np.einsum("rk,rkd->rd", weights, gathered)
         if update_freq:
-            counts = np.bincount(idx.ravel(), minlength=len(recs)).tolist()
-            for rec, n in zip(recs, counts):
-                rec.freq += n
+            self._freqs[:n] += np.bincount(idx.ravel(), minlength=n)
         trace = EpisodicRecallTrace(queries, idx, gathered, sel_scores,
-                                    weights, z, nq, npat[idx])
+                                    weights, z, nq, self._norms[idx])
         return out, trace
 
     def recall_backward(self, trace: "EpisodicRecallTrace | None", upstream: np.ndarray) -> np.ndarray:
@@ -159,7 +167,7 @@ class EpisodicStore:
         and push the new patterns at the queue head. Popping only what
         overflows guarantees every record transits the whole queue before
         facing eviction. Main-slot frequency counters reset to zero after
-        every update.
+        every update. A zero-norm pattern is stored; recall rejects it.
         """
         new_patterns = np.atleast_2d(np.asarray(new_patterns, dtype=np.float64))
         k = new_patterns.shape[0]
@@ -169,64 +177,68 @@ class EpisodicStore:
             raise InvariantError(
                 f"{k} patterns per update exceeds queue capacity {self.queue_capacity}"
             )
-        fresh = [self._new_record(p) for p in new_patterns]
+        fresh = (new_patterns, attention.l2_norms(new_patterns),
+                 np.zeros(k, dtype=np.int64), self._birth + np.arange(k, dtype=np.int64))
+        self._birth += k
 
-        while fresh and len(self.entries) < self.capacity:
-            self.entries.append(fresh.pop(0))
-        if fresh:
-            n_pop = max(0, len(self.queue) + len(fresh) - self.queue_capacity)
-            popped = [self.queue.pop() for _ in range(n_pop)]
-            pool = self.entries + popped
-            pool.sort(key=lambda rec: (-rec.freq, rec.birth))
-            self.entries = pool[: self.capacity]
-            for rec in reversed(fresh):
-                self.queue.appendleft(rec)
-        for rec in self.entries:
-            rec.freq = 0
-        self._stacked = None
-        self._check_invariants()
+        # the queue stays empty until the main slots are full
+        n_fill = min(k, self.capacity - self._n_main)
+        self._put(self._n_main, fresh, 0, n_fill)
+        self._n_main += n_fill
+        if n_fill < k:
+            cap, n_new = self.capacity, k - n_fill
+            n_pop = max(0, self._n_queue + n_new - self.queue_capacity)
+            tail = cap + self._n_queue - 1
+            # pool: the main slots, then the popped records tail first
+            pool = np.concatenate((self._rows[:cap], self._rows[tail:tail - n_pop:-1]))
+            keep = pool[np.lexsort((self._births[pool], -self._freqs[pool]))[:cap]]
+            self._n_queue -= n_pop
+            for col in self._columns:
+                col[:cap] = col[keep]
+                # the surviving queue moves back to make room at the head
+                col[cap + n_new:cap + n_new + self._n_queue] = col[cap:cap + self._n_queue]
+            self._put(cap, fresh, n_fill, k)
+            self._n_queue += n_new
+        self._freqs[:self._n_main] = 0
 
     # -- persistence ----------------------------------------------------
 
     def state_arrays(self, prefix: str = "episodic") -> "dict[str, np.ndarray]":
-        def pack(recs):
-            if not recs:
-                return (np.zeros((0, self.dim)), np.zeros(0, dtype=np.int64),
-                        np.zeros(0, dtype=np.int64))
-            return (np.stack([r.pattern for r in recs]),
-                    np.array([r.freq for r in recs], dtype=np.int64),
-                    np.array([r.birth for r in recs], dtype=np.int64))
-
-        e_pat, e_freq, e_birth = pack(self.entries)
-        q_pat, q_freq, q_birth = pack(list(self.queue))
-        return {
-            f"{prefix}/entries/patterns": e_pat,
-            f"{prefix}/entries/freqs": e_freq,
-            f"{prefix}/entries/births": e_birth,
-            f"{prefix}/queue/patterns": q_pat,
-            f"{prefix}/queue/freqs": q_freq,
-            f"{prefix}/queue/births": q_birth,
-            f"{prefix}/birth_counter": np.array([self._birth], dtype=np.int64),
-        }
+        out = {}
+        n = self._n_main + self._n_queue
+        for part, lo, hi in (("entries", 0, self._n_main), ("queue", self._n_main, n)):
+            out[f"{prefix}/{part}/patterns"] = self._patterns[lo:hi].copy()
+            out[f"{prefix}/{part}/freqs"] = self._freqs[lo:hi].copy()
+            out[f"{prefix}/{part}/births"] = self._births[lo:hi].copy()
+        out[f"{prefix}/birth_counter"] = np.array([self._birth], dtype=np.int64)
+        return out
 
     def load_state_arrays(self, arrays: "dict[str, np.ndarray]", prefix: str = "episodic"):
-        def unpack(pats, freqs, births):
-            recs = []
-            for pat, freq, birth in zip(pats, freqs, births):
-                p = np.array(pat, dtype=np.float64)
-                p.setflags(write=False)
-                recs.append(EpisodicRecord(p, int(freq), int(birth)))
-            return recs
-
-        self.entries = unpack(arrays[f"{prefix}/entries/patterns"],
-                              arrays[f"{prefix}/entries/freqs"],
-                              arrays[f"{prefix}/entries/births"])
-        self.queue = deque(unpack(arrays[f"{prefix}/queue/patterns"],
-                                  arrays[f"{prefix}/queue/freqs"],
-                                  arrays[f"{prefix}/queue/births"]))
-        self._birth = int(arrays[f"{prefix}/birth_counter"][0])
-        self._stacked = None
-        self._check_invariants()
+        """Restore a state_arrays dict; a missing or misshapen array raises DataError."""
+        parts = []
+        for part, limit in (("entries", self.capacity), ("queue", self.queue_capacity)):
+            pats, freqs, births = (require(arrays, f"{prefix}/{part}/{name}")
+                                   for name in ("patterns", "freqs", "births"))
+            pats = np.asarray(pats, dtype=np.float64)
+            if pats.ndim != 2 or pats.shape[1] != self.dim:
+                raise DataError(f"{prefix}/{part}/patterns is shaped {pats.shape}, "
+                                f"expected (records, {self.dim})")
+            if freqs.shape != (len(pats),) or births.shape != (len(pats),):
+                raise DataError(f"{prefix}/{part} freqs {freqs.shape} and births "
+                                f"{births.shape} do not match {len(pats)} patterns")
+            if len(pats) > limit:
+                raise DataError(f"{prefix}/{part} holds {len(pats)} records, capacity {limit}")
+            parts.append((pats, attention.l2_norms(pats), freqs, births))
+        counter = require(arrays, f"{prefix}/birth_counter")
+        if counter.shape != (1,):
+            raise DataError(f"{prefix}/birth_counter is shaped {counter.shape}, expected (1,)")
+        entries, queue = parts
+        if len(queue[0]) and len(entries[0]) < self.capacity:
+            raise DataError(f"{prefix}/queue holds records while main slots are free")
+        self._n_main, self._n_queue = len(entries[0]), len(queue[0])
+        self._put(0, entries, 0, self._n_main)
+        self._put(self._n_main, queue, 0, self._n_queue)
+        self._birth = int(counter[0])
 
 
 def select_special(batch_losses: np.ndarray, batch_queries: np.ndarray) -> "np.ndarray | None":

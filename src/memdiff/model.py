@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conditioning, denoiser
+from .checkpoint import require
 from .config import TrainConfig
 from .episodic import EpisodicStore
 from .errors import DataError
@@ -306,8 +307,9 @@ class ForecastModel:
             d_u = conditioning.memory_prior_backward(self.cp, prior_trace, d_m)
             if self.semantic is not None:
                 d_h = d_h + self.semantic.recall_backward(sem_traces, d_u)
-                d_h = d_h + self.semantic.losses_backward(
-                    loss_traces, cfg.alpha1 / batch, cfg.alpha2 / batch)
+                if cfg.alpha1 or cfg.alpha2:   # unweighted losses add exact zeros
+                    d_h = d_h + self.semantic.losses_backward(
+                        loss_traces, cfg.alpha1 / batch, cfg.alpha2 / batch)
             if self.episodic is not None:
                 d_h = d_h + self.episodic.recall_backward(epi_traces, d_u)
             self.enc.backward(enc_trace, d_h)
@@ -363,11 +365,14 @@ class ForecastModel:
         return arrays
 
     def load_state_arrays(self, arrays: "dict[str, np.ndarray]"):
-        for p in self.params:
-            stored = arrays[f"param/{p.id}"]
-            if stored.shape != p.values.shape:
-                raise DataError(f"checkpoint shape {stored.shape} != {p.values.shape} "
+        """Restore parameters and episodic state; nothing is written if a parameter
+        is missing or misshapen (DataError)."""
+        stored = [require(arrays, f"param/{p.id}") for p in self.params]
+        for p, values in zip(self.params, stored):
+            if values.shape != p.values.shape:
+                raise DataError(f"checkpoint shape {values.shape} != {p.values.shape} "
                                 f"for parameter {p.id!r}")
-            p.values[...] = stored
+        for p, values in zip(self.params, stored):
+            p.values[...] = values
         if self.episodic is not None:
             self.episodic.load_state_arrays(arrays)

@@ -122,19 +122,33 @@ class ParamStore:
 
 
 def _silu(z):
-    s = 1.0 / (1.0 + np.exp(-z))
-    return z * s
+    """SiLU and the sigmoid it used, which its derivative reuses.
+
+    s = 1 / (1 + exp(-z)) and the derivative are each built in one buffer:
+    the sigmoid now lives until backward, and the temporaries it saves keep
+    the training step's peak memory where it was.
+    """
+    s = np.negative(z)
+    np.exp(s, out=s)
+    s += 1.0
+    np.divide(1.0, s, out=s)
+    return z * s, s
 
 
-def _silu_grad(z):
-    s = 1.0 / (1.0 + np.exp(-z))
-    return s * (1.0 + z * (1.0 - s))
+def _silu_grad(z, s):
+    """SiLU derivative s (1 + z (1 - s)) at z, given s = sigmoid(z) from the forward pass."""
+    d = 1.0 - s
+    d *= z
+    d += 1.0
+    d *= s
+    return d
 
 
+# name -> (forward: z -> (activation, saved), derivative: (z, saved) -> d act / dz)
 _ACTIVATIONS = {
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0).astype(z.dtype)),
+    "relu": (lambda z: (np.maximum(z, 0.0), None), lambda z, _: (z > 0.0).astype(z.dtype)),
     "silu": (_silu, _silu_grad),
-    "identity": (lambda z: z, lambda z: np.ones_like(z)),
+    "identity": (lambda z: (z, None), lambda z, _: np.ones_like(z)),
 }
 
 
@@ -186,8 +200,9 @@ class Mlp:
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = h @ w.values.T + b.values
-            trace.append((h, z))
-            h = z if i == last else act(z)
+            out, saved = (z, None) if i == last else act(z)
+            trace.append((h, z, saved))
+            h = out
         return h, trace
 
     def backward(self, trace: list, upstream: np.ndarray) -> np.ndarray:
@@ -198,9 +213,9 @@ class Mlp:
         g = np.asarray(upstream)
         last = len(self.weights) - 1
         for i in range(last, -1, -1):
-            h_in, z = trace[i]
+            h_in, z, saved = trace[i]
             if i != last:
-                g = g * dact(z)
+                g = g * dact(z, saved)
             self.weights[i].grad += g.T @ h_in
             self.biases[i].grad += g.sum(axis=0)
             g = g @ self.weights[i].values

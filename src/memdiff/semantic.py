@@ -97,8 +97,7 @@ class SemanticMemory:
         Nearest/second-nearest are ranked by cosine score, ties to the
         lowest block index. With a single block the contrastive term is 0.
         """
-        scores = self.scores(queries)
-        order = np.argsort(-scores, axis=1, kind="stable")
+        order, _ = attention.top_k(self.scores(queries), min(2, self.count))
         nearest = order[:, 0]
         d1 = queries - self.blocks.values[nearest]
         sq1 = np.sum(d1 * d1, axis=1)

@@ -246,7 +246,7 @@ class Trainer:
         self.model.load_state_arrays(arrays)
         if "adam/t" in arrays:
             self.opt.load_state_arrays(arrays)
-        self.step_count = int(arrays["trainer/step"][0])
+        self.step_count = int(checkpoint.require(arrays, "trainer/step")[0])
         return meta
 
 

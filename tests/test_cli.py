@@ -189,6 +189,27 @@ class TestCliCommands:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DataError" and "checkpoint.bin" in err["message"]
 
+    @pytest.mark.parametrize("train_sets,eval_sets,message", [
+        ([], ["shared_memory=false"], "'param/semantic/blocks/ch0'"),
+        (["use_semantic=false"], ["use_semantic=false", "shared_memory=false"],
+         "'episodic/1/entries/patterns'"),
+        ([], ["episodic_size=2"], "capacity 2"),
+    ])
+    def test_checkpoint_of_another_config_is_data_error(self, tmp_path, tiny_cfg_file, capsys,
+                                                         train_sets, eval_sets, message):
+        def sets(items):
+            return [arg for item in items for arg in ("--set", item)]
+
+        out = str(tmp_path / "run")
+        assert run(["train", "--config", tiny_cfg_file, "--out", out, "--seed", "1",
+                    *sets(train_sets)]) == 0
+        capsys.readouterr()
+        assert run(["evaluate", "--config", tiny_cfg_file, "--out", out, "--seed", "1",
+                    *sets(eval_sets)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError" and err["exit_code"] == 2
+        assert message in err["message"]
+
     def test_input_files_not_mutated(self, tmp_path):
         from memdiff.data import dataset_to_csv, synth_generate as gen
         from memdiff import SynthSpec

@@ -1,11 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from episodic_reference import ReferenceEpisodicStore
 
 from memdiff import EpisodicStore, select_special
 from memdiff.attention import WEIGHT_EPS
-from memdiff.errors import InvariantError
+from memdiff.errors import DataError, InvariantError, NumericError
 
 
 def unit(angle_deg: float) -> np.ndarray:
@@ -194,6 +196,122 @@ class TestUpdateEdges:
         store.update(np.stack([unit(0), unit(45), unit(180)]))
         store.recall(np.stack([unit(10), unit(20), unit(170)]))
         assert [r.freq for r in store.entries] == [2, 3, 1]
+
+
+class TestArrayStoreParity:
+    """The array-backed store against the record-list reference, array for array."""
+
+    @staticmethod
+    def same_records(store, ref):
+        for got, want in ((store.entries, ref.entries), (store.queue, list(ref.queue))):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g.pattern, w.pattern)
+                assert (g.freq, g.birth) == (w.freq, w.birth)
+
+    @staticmethod
+    def same_state(a, b):
+        assert a.keys() == b.keys()
+        for key in a:
+            assert a[key].dtype == b[key].dtype, key
+            np.testing.assert_array_equal(a[key], b[key], err_msg=key)
+
+    @pytest.mark.parametrize("dim,n2,n3,top_k,seed", [
+        (3, 4, 2, 2, 0), (4, 6, 4, 5, 1), (2, 8, 4, 3, 2), (3, 5, 5, 9, 3), (5, 3, 1, 1, 4)])
+    def test_random_operation_sequence(self, dim, n2, n3, top_k, seed):
+        rng = np.random.default_rng(seed)
+        store = EpisodicStore(dim, n2, n3, top_k)
+        ref = ReferenceEpisodicStore(dim, n2, n3, top_k)
+        # drawing patterns and queries from a small pool stores duplicates,
+        # which score exact ties
+        pool = rng.standard_normal((5, dim))
+
+        def rows(n):
+            out = rng.standard_normal((n, dim))
+            dup = rng.random(n) < 0.6
+            out[dup] = pool[rng.integers(0, len(pool), int(dup.sum()))]
+            return out
+
+        for _ in range(300):
+            op = rng.random()
+            if op < 0.45:
+                q = rows(int(rng.integers(1, 7)))
+                if rng.random() < 0.1:
+                    q[0] = np.nan
+                count = bool(rng.random() < 0.8)
+                out, trace = store.recall(q, update_freq=count)
+                want, want_trace = ref.recall(q, update_freq=count)
+                np.testing.assert_array_equal(out, want)
+                assert (trace is None) == (want_trace is None)
+                if trace is not None:
+                    for f in dataclasses.fields(trace):
+                        np.testing.assert_array_equal(getattr(trace, f.name),
+                                                      getattr(want_trace, f.name), err_msg=f.name)
+                np.testing.assert_array_equal(store.scores(q), ref.scores(q))
+            elif op < 0.9:
+                new = rows(int(rng.integers(1, n3 + 1)))
+                store.update(new)
+                ref.update(new)
+            else:
+                arrays = store.state_arrays()
+                self.same_state(arrays, ref.state_arrays())
+                store = EpisodicStore(dim, n2, n3, top_k)
+                store.load_state_arrays(arrays)
+                ref = ReferenceEpisodicStore(dim, n2, n3, top_k)
+                ref.load_state_arrays(arrays)
+            self.same_records(store, ref)
+            assert len(store.records) == len(ref.records)
+
+    def test_snapshots_do_not_follow_later_updates(self):
+        store = EpisodicStore(dim=2, capacity=1, queue_capacity=1, recall_top_k=1)
+        store.update(unit(0)[None])
+        first = store.entries[0]
+        store.update(unit(90)[None])
+        store.update(unit(180)[None])
+        np.testing.assert_array_equal(first.pattern, unit(0))
+        assert not first.pattern.flags.writeable
+
+
+class TestZeroNormAndLoadChecks:
+    def test_zero_norm_pattern_raises_at_recall_not_update(self):
+        store = EpisodicStore(dim=2, capacity=2, queue_capacity=1)
+        store.update(np.zeros((1, 2)))
+        with pytest.raises(NumericError, match="zero-norm block"):
+            store.recall(unit(0)[None])
+
+    def test_missing_array_is_data_error_naming_it(self):
+        arrays = EpisodicStore(dim=2, capacity=2, queue_capacity=1).state_arrays()
+        del arrays["episodic/queue/births"]
+        with pytest.raises(DataError, match="episodic/queue/births"):
+            EpisodicStore(dim=2, capacity=2, queue_capacity=1).load_state_arrays(arrays)
+
+    def test_pattern_width_mismatch_is_data_error(self):
+        src = EpisodicStore(dim=3, capacity=2, queue_capacity=1)
+        src.update(np.ones((1, 3)))
+        with pytest.raises(DataError, match="entries/patterns"):
+            EpisodicStore(dim=2, capacity=2, queue_capacity=1).load_state_arrays(
+                src.state_arrays())
+
+    @pytest.mark.parametrize("capacity,queue_capacity", [(2, 2), (4, 1)])
+    def test_records_past_capacity_are_data_error(self, capacity, queue_capacity):
+        src = EpisodicStore(dim=2, capacity=4, queue_capacity=2)
+        for _ in range(4):
+            src.update(np.ones((2, 2)))
+        target = EpisodicStore(dim=2, capacity=capacity, queue_capacity=queue_capacity)
+        with pytest.raises(DataError, match="capacity"):
+            target.load_state_arrays(src.state_arrays())
+        assert target.is_empty
+
+    def test_queue_beside_free_main_slots_is_data_error(self):
+        # the store only queues once its main slots are full
+        src = EpisodicStore(dim=2, capacity=2, queue_capacity=1)
+        for angle in (0, 40, 80):
+            src.update(unit(angle)[None])
+        arrays = src.state_arrays()
+        for name in ("patterns", "freqs", "births"):
+            arrays[f"episodic/entries/{name}"] = arrays[f"episodic/entries/{name}"][:1]
+        with pytest.raises(DataError, match="main slots are free"):
+            EpisodicStore(dim=2, capacity=2, queue_capacity=1).load_state_arrays(arrays)
 
 
 class TestSelectSpecial:

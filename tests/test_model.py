@@ -3,7 +3,7 @@ import pytest
 
 from conftest import tiny_config, tiny_trainer
 
-from memdiff import ForecastModel, draw_step_randomness, finite_diff_check, step_embedding
+from memdiff import ForecastModel, checkpoint, draw_step_randomness, finite_diff_check, step_embedding
 from memdiff.errors import DataError
 
 
@@ -167,11 +167,11 @@ class TestEpisodicIsolation:
         cfg = tiny_config()
         model = seeded_model(cfg, seed=7)
         populate_episodic(model, rng)
-        snapshot = [rec.pattern.copy() for rec in model.episodic.stores[0]._records()]
+        snapshot = [rec.pattern.copy() for rec in model.episodic.stores[0].records]
         batch_x, batch_y = random_batch(cfg, rng)
         model.params.zero_grads()
         model.loss(batch_x, batch_y, draw_step_randomness(rng, cfg, 2))
-        for rec, before in zip(model.episodic.stores[0]._records(), snapshot):
+        for rec, before in zip(model.episodic.stores[0].records, snapshot):
             np.testing.assert_array_equal(rec.pattern, before)
         assert not any(p.id.startswith("episodic") for p in model.params)
 
@@ -255,6 +255,24 @@ class TestTrainerBehavior:
             trainer.save_checkpoint(str(path))
             payloads.append(path.read_bytes())
         assert payloads[0] == payloads[1]
+
+    @pytest.mark.parametrize("drop", ["trainer/step", "param/encoder/W0",
+                                      "episodic/0/birth_counter"])
+    def test_checkpoint_missing_array_is_data_error(self, tmp_path, drop):
+        trainer = tiny_trainer()
+        trainer.fit()
+        path = str(tmp_path / "checkpoint.bin")
+        trainer.save_checkpoint(path)
+        arrays, meta = checkpoint.load(path)
+        del arrays[drop]
+        checkpoint.save(path, arrays, meta)
+        clone = tiny_trainer()
+        before = clone.model.params.snapshot()
+        with pytest.raises(DataError, match=drop):
+            clone.load_checkpoint(path)
+        if drop.startswith("param/"):   # no parameter is written before the check
+            for key, values in clone.model.params.snapshot().items():
+                np.testing.assert_array_equal(values, before[key])
 
     def test_evaluate_perfect_prediction_zero_error(self):
         from memdiff.trainer import mae, mse

@@ -79,6 +79,26 @@ class TestMlpBackward:
         report = finite_diff_check(loss, store, tolerance=1e-4)
         assert report.passed, (report.max_rel_error, report.worst_param)
 
+    def test_silu_backward_matches_recomputed_derivative(self):
+        # the derivative reuses the forward pass's sigmoid; recomputing it
+        # from z, as the formula reads, must give the same bits
+        store, net = make_net([5, 16, 16, 3], "silu", seed=2)
+        rng = np.random.default_rng(6)
+        x, g = rng.standard_normal((7, 5)), rng.standard_normal((7, 3))
+        _, trace = net.forward(x)
+        d_in = net.backward(trace, g)
+        want = {}
+        for i in range(len(net.weights) - 1, -1, -1):
+            h_in, z, _ = trace[i]
+            if i != len(net.weights) - 1:
+                s = 1.0 / (1.0 + np.exp(-z))
+                g = g * (s * (1.0 + z * (1.0 - s)))
+            want[f"net/W{i}"], want[f"net/b{i}"] = g.T @ h_in, g.sum(axis=0)
+            g = g @ net.weights[i].values
+        np.testing.assert_array_equal(d_in, g)
+        for pid, grad in want.items():
+            np.testing.assert_array_equal(store[pid].grad, grad, err_msg=pid)
+
     def test_input_gradient(self):
         store, net = make_net([3, 5, 2], "silu", seed=7)
         x = np.random.default_rng(8).standard_normal((1, 3))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memdiff import ParamStore, SemanticMemory, cosine_score, finite_diff_check
-from memdiff.attention import WEIGHT_EPS, clamp_normalize
+from memdiff.attention import WEIGHT_EPS, clamp_normalize, top_k
 from memdiff.errors import NumericError
 
 
@@ -137,6 +137,21 @@ class TestLosses:
         assert trace.nearest[0] == 0
         assert trace.second[0] == 1
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_top2_matches_stable_sort_with_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        store, mem = make_memory(6, 3, seed=seed)
+        blocks = rng.integers(-2, 3, (6, 3)).astype(float)
+        blocks[rng.integers(0, 6, 3)] = blocks[0]          # duplicate blocks tie exactly
+        blocks[np.all(blocks == 0, axis=1)] = 1.0
+        store["semantic/blocks"].values[...] = blocks
+        q = rng.integers(-2, 3, (40, 3)).astype(float)
+        q[np.all(q == 0, axis=1)] = 1.0
+        order = np.argsort(-mem.scores(q), axis=1, kind="stable")
+        _, _, trace = mem.losses(q, margin=0.5)
+        np.testing.assert_array_equal(trace.nearest, order[:, 0])
+        np.testing.assert_array_equal(trace.second, order[:, 1])
+
     def test_loss_gradients_match_finite_differences(self):
         store, mem = make_memory(4, 3, seed=11)
         q = np.random.default_rng(12).standard_normal((6, 3))
@@ -196,3 +211,16 @@ def test_weights_convex_combination_property(n_blocks, dim, seed):
     weights, _ = clamp_normalize(scores)
     assert np.all(weights >= 0)
     np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 6), cols=st.integers(1, 9), seed=st.integers(0, 2**31 - 1))
+def test_top_k_picks_what_the_stable_sort_picks(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(-3, 4, (rows, cols)) / 3.0     # few levels: many ties
+    scores[rng.random(rows) < 0.2] = np.nan                # whole-NaN rows
+    for k in range(1, cols + 1):
+        want = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+        idx, vals = top_k(scores.copy(), k)
+        np.testing.assert_array_equal(idx, want)
+        np.testing.assert_array_equal(vals, np.take_along_axis(scores, want, axis=1))
