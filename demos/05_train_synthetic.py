@@ -44,7 +44,7 @@ print(f"\nfull model: {trainer.step_count} steps in {time.perf_counter() - t0:.0
       f"first/last-100 median loss "
       f"{np.median([h.total for h in history[:100]]):.3f} -> "
       f"{np.median([h.total for h in history[-100:]]):.3f}")
-store = trainer.model.episodic.stores[0]
+store = trainer.model.episodic
 print(f"episodic store: {len(store.entries)} entries + {len(store.queue)} queued")
 full = trainer.evaluate("test")
 print(f"test MSE {full.mse:.4f}, MAE {full.mae:.4f}")

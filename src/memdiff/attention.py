@@ -1,5 +1,11 @@
 """Cosine-attention recall math shared by the two memory modules.
 
+Both memories hold G groups: G = 1 shares one memory across channels, G =
+n_channels gives each channel its own. Channel rows (B*N, d), with channel
+= row % N, reach a memory as (G, B*N/G, d) through group_rows; the score,
+weight and backward functions here work on the trailing axes, so they
+batch over the groups.
+
 Scores are cosine similarities; recall weights clamp negative scores to
 zero and add a small epsilon before normalizing, so the aggregation is
 always a convex combination even when every score is non-positive (the
@@ -11,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import InvariantError, NumericError
 
 WEIGHT_EPS = 1e-8
 _NORM_FLOOR = 1e-30
@@ -35,6 +41,22 @@ def row_norms(x: np.ndarray, what: str) -> np.ndarray:
     return check_norms(l2_norms(x), what)
 
 
+def group_rows(rows: np.ndarray, groups: int) -> np.ndarray:
+    """(R, ...) channel rows to (groups, R // groups, ...): row r joins group r % groups.
+
+    With groups = N, group j holds channel j's rows ``rows[j::N]``; with one
+    group this is a (1, R, ...) view.
+    """
+    if rows.shape[0] % groups:
+        raise InvariantError(f"{rows.shape[0]} rows do not split into {groups} groups")
+    return rows.reshape(-1, groups, *rows.shape[1:]).swapaxes(0, 1)
+
+
+def ungroup_rows(grouped: np.ndarray) -> np.ndarray:
+    """Inverse of group_rows: (G, R', ...) back to (G * R', ...) channel rows."""
+    return grouped.swapaxes(0, 1).reshape(-1, *grouped.shape[2:])
+
+
 def cosine_score(block: np.ndarray, query: np.ndarray) -> float:
     """Cosine similarity of two nonzero vectors, in [-1, 1]."""
     block = np.asarray(block, dtype=np.float64)
@@ -45,13 +67,15 @@ def cosine_score(block: np.ndarray, query: np.ndarray) -> float:
 
 
 def cosine_matrix(blocks: np.ndarray, queries: np.ndarray):
-    """All-pairs cosine scores.
+    """All-pairs cosine scores, batched over leading axes.
 
-    blocks: (B, d), queries: (R, d) -> scores (R, B) plus cached norms.
+    blocks: (..., B, d), queries: (..., R, d) -> scores (..., R, B) plus
+    cached norms.
     """
     nb = row_norms(blocks, "block")
     nq = row_norms(queries, "query")
-    scores = (queries @ blocks.T) / (nq[:, None] * nb[None, :])
+    scores = queries @ blocks.swapaxes(-1, -2)
+    scores /= nq[..., :, None] * nb[..., None, :]
     return scores, nq, nb
 
 
@@ -82,9 +106,11 @@ def top_k(scores: np.ndarray, k: int) -> "tuple[np.ndarray, np.ndarray]":
 
 def clamp_normalize(scores: np.ndarray):
     """Rows of clamped scores to convex weights: (max(s,0)+eps) / rowsum."""
-    pos = np.maximum(scores, 0.0) + WEIGHT_EPS
+    pos = np.maximum(scores, 0.0)
+    pos += WEIGHT_EPS
     z = pos.sum(axis=-1)
-    return pos / z[..., None], z
+    pos /= z[..., None]
+    return pos, z
 
 
 def weights_backward(d_weights: np.ndarray, weights: np.ndarray, z: np.ndarray,
@@ -98,9 +124,9 @@ def weights_backward(d_weights: np.ndarray, weights: np.ndarray, z: np.ndarray,
 def cosine_matrix_backward(d_scores: np.ndarray, blocks: np.ndarray, queries: np.ndarray,
                            scores: np.ndarray, nq: np.ndarray, nb: np.ndarray):
     """Backprop through cosine_matrix: returns (d_queries, d_blocks)."""
-    scaled = d_scores / (nq[:, None] * nb[None, :])
-    ds_dot = np.sum(d_scores * scores, axis=1)
-    d_queries = scaled @ blocks - (ds_dot / (nq * nq))[:, None] * queries
-    ds_dot_b = np.sum(d_scores * scores, axis=0)
-    d_blocks = scaled.T @ queries - (ds_dot_b / (nb * nb))[:, None] * blocks
+    scaled = d_scores / (nq[..., :, None] * nb[..., None, :])
+    ds_dot = np.sum(d_scores * scores, axis=-1)
+    d_queries = scaled @ blocks - (ds_dot / (nq * nq))[..., None] * queries
+    ds_dot_b = np.sum(d_scores * scores, axis=-2)
+    d_blocks = scaled.swapaxes(-1, -2) @ queries - (ds_dot_b / (nb * nb))[..., None] * blocks
     return d_queries, d_blocks

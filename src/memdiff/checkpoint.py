@@ -16,6 +16,7 @@ DataError naming the file.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -30,27 +31,36 @@ VERSION = 1
 
 
 def save(path: str, arrays: "dict[str, np.ndarray]", meta: "dict | None" = None):
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<I", len(arrays)))
-        for name in sorted(arrays):
-            arr = np.ascontiguousarray(arrays[name])
-            dtype = arr.dtype.newbyteorder("<")
-            arr = arr.astype(dtype, copy=False)
-            name_b = name.encode("utf-8")
-            dtype_b = dtype.str.encode("ascii")
-            f.write(struct.pack("<H", len(name_b)))
-            f.write(name_b)
-            f.write(struct.pack("<B", len(dtype_b)))
-            f.write(dtype_b)
-            f.write(struct.pack("<B", arr.ndim))
-            for d in arr.shape:
-                f.write(struct.pack("<I", d))
-            f.write(arr.tobytes(order="C"))
-        meta_b = json.dumps(meta or {}, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        f.write(struct.pack("<Q", len(meta_b)))
-        f.write(meta_b)
+    """Write through a temporary file beside path that then replaces it, so a
+    save that fails part way leaves the previous checkpoint whole."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", VERSION))
+            f.write(struct.pack("<I", len(arrays)))
+            for name in sorted(arrays):
+                arr = np.ascontiguousarray(arrays[name])
+                dtype = arr.dtype.newbyteorder("<")
+                arr = arr.astype(dtype, copy=False)
+                name_b = name.encode("utf-8")
+                dtype_b = dtype.str.encode("ascii")
+                f.write(struct.pack("<H", len(name_b)))
+                f.write(name_b)
+                f.write(struct.pack("<B", len(dtype_b)))
+                f.write(dtype_b)
+                f.write(struct.pack("<B", arr.ndim))
+                for d in arr.shape:
+                    f.write(struct.pack("<I", d))
+                f.write(arr.tobytes(order="C"))
+            meta_b = json.dumps(meta or {}, sort_keys=True, separators=(",", ":")).encode("utf-8")
+            f.write(struct.pack("<Q", len(meta_b)))
+            f.write(meta_b)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 class _Reader:

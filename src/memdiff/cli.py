@@ -76,9 +76,11 @@ def _resolve_config(args) -> TrainConfig:
     if cfg.threads != 1:
         try:
             from threadpoolctl import threadpool_limits
-            threadpool_limits(limits=cfg.threads)
         except ImportError:
-            pass
+            raise UsageError(f"threads={cfg.threads} needs threadpoolctl, which is not installed; "
+                             "set OPENBLAS_NUM_THREADS / OMP_NUM_THREADS before starting "
+                             "memdiff instead") from None
+        threadpool_limits(limits=cfg.threads)
     return cfg
 
 

@@ -1,4 +1,5 @@
-"""Episodic memory: a non-parametric store of special patterns.
+"""Episodic memory: a non-parametric store of special patterns, channel-shared
+or per channel.
 
 Patterns are frozen snapshots of per-channel query vectors taken from the
 hardest sample of a batch. Recall is top-k cosine attention over every
@@ -31,59 +32,70 @@ class EpisodicRecord:
 
 @dataclass
 class EpisodicRecallTrace:
+    """Row arrays are group-major: group g's R' query rows come g-th."""
+
     queries: np.ndarray
-    idx: np.ndarray         # (R, K) selected record indices
-    gathered: np.ndarray    # (R, K, d) selected patterns
-    scores: np.ndarray      # (R, K) selected cosine scores
+    idx: np.ndarray         # (G*R', K) selected record indices within the group
+    gathered: np.ndarray    # (G*R', K, d) selected patterns
+    scores: np.ndarray      # (G*R', K) selected cosine scores
     weights: np.ndarray
     z: np.ndarray
     nq: np.ndarray
-    np_sel: np.ndarray      # (R, K) norms of selected patterns
+    np_sel: np.ndarray      # (G*R', K) norms of selected patterns
 
 
 class EpisodicStore:
     """Capacity-limited pattern store with recall counting and queue-guarded eviction.
 
-    Preallocated arrays of capacity + queue_capacity rows hold the records:
-    pattern, pattern norm (taken once, at insertion), recall frequency and
-    birth. The live rows are the main slots first, then the queue from head
-    to tail; a record's index in recall is its row. Recall reads the live
-    rows in place; ``entries``, ``queue`` and ``records`` build read-only
-    EpisodicRecord snapshots of them.
+    G groups of preallocated arrays, capacity + queue_capacity rows each,
+    hold the records: pattern, pattern norm (taken once, at insertion),
+    recall frequency and birth. Query and pattern rows are channel rows,
+    grouped by attention.group_rows: one group shares the store across
+    channels, n_channels groups give each channel its own.
+    Every group receives the same number of patterns per update, so all
+    groups hold the same number of main and queued records. A group's
+    live rows are the main slots first, then the queue from head to tail;
+    a record's index in recall is its row. Recall reads the live rows in
+    place; ``entries``, ``queue`` and ``records`` build read-only
+    EpisodicRecord snapshots of them, group by group.
     """
 
-    def __init__(self, dim: int, capacity: int, queue_capacity: int, recall_top_k: int = 5):
+    def __init__(self, dim: int, capacity: int, queue_capacity: int, recall_top_k: int = 5,
+                 groups: int = 1):
         if queue_capacity > capacity:
             raise InvariantError(f"queue capacity {queue_capacity} exceeds store capacity {capacity}")
-        if capacity < 1 or queue_capacity < 1 or recall_top_k < 1:
-            raise InvariantError("capacities and recall_top_k must be positive")
+        if capacity < 1 or queue_capacity < 1 or recall_top_k < 1 or groups < 1:
+            raise InvariantError("capacities, recall_top_k and groups must be positive")
         self.dim = dim
         self.capacity = capacity
         self.queue_capacity = queue_capacity
         self.recall_top_k = recall_top_k
+        self.groups = groups
         rows = capacity + queue_capacity
-        self._patterns = np.zeros((rows, dim))
-        self._norms = np.zeros(rows)
-        self._freqs = np.zeros(rows, dtype=np.int64)
-        self._births = np.zeros(rows, dtype=np.int64)
+        self._patterns = np.zeros((groups, rows, dim))
+        self._norms = np.zeros((groups, rows))
+        self._freqs = np.zeros((groups, rows), dtype=np.int64)
+        self._births = np.zeros((groups, rows), dtype=np.int64)
         self._columns = (self._patterns, self._norms, self._freqs, self._births)
+        # the same columns with groups and rows merged: group g's row i is
+        # flat row g * rows + i
+        self._flat = tuple(col.reshape(-1, *col.shape[2:]) for col in self._columns)
+        self._base = rows * np.arange(groups)[:, None]
         self._rows = np.arange(rows)
-        self._n_main = 0    # rows [0, _n_main) are the main slots
+        self._n_main = 0    # rows [0, _n_main) of every group are its main slots
         self._n_queue = 0   # the next _n_queue rows the queue, head first
         self._birth = 0
-
-    def __len__(self):
-        return self._n_main
 
     @property
     def is_empty(self) -> bool:
         return self._n_main + self._n_queue == 0
 
     def _snapshot(self, lo: int, hi: int) -> "list[EpisodicRecord]":
-        patterns = self._patterns[lo:hi].copy()
+        patterns = self._patterns[:, lo:hi].reshape(-1, self.dim).copy()
         patterns.setflags(write=False)
         return [EpisodicRecord(p, f, b) for p, f, b in zip(
-            patterns, self._freqs[lo:hi].tolist(), self._births[lo:hi].tolist())]
+            patterns, self._freqs[:, lo:hi].ravel().tolist(),
+            self._births[:, lo:hi].ravel().tolist())]
 
     @property
     def entries(self) -> "list[EpisodicRecord]":
@@ -96,33 +108,36 @@ class EpisodicStore:
 
     @property
     def records(self) -> "list[EpisodicRecord]":
-        """Every live record in recall-index order: entries, then the queue."""
+        """Every live record of each group in recall-index order: entries, then the queue."""
         return self._snapshot(0, self._n_main + self._n_queue)
 
     def _put(self, dst: int, fresh: tuple, lo: int, hi: int):
-        """Write rows [lo, hi) of the fresh columns at row dst onwards."""
+        """Write rows [lo, hi) of the fresh (G or 1, rows, ...) columns at row dst onwards."""
         for col, new in zip(self._columns, fresh):
-            col[dst:dst + hi - lo] = new[lo:hi]
+            col[:, dst:dst + hi - lo] = new[:, lo:hi]
 
     # -- recall ---------------------------------------------------------
 
     def _cosine(self, queries: np.ndarray):
-        """attention.cosine_matrix against the live patterns, reusing their norms."""
+        """attention.cosine_matrix of (G, R', d) queries against their group's
+        live patterns, reusing the stored norms."""
         n = self._n_main + self._n_queue
-        npat = attention.check_norms(self._norms[:n], "block")
+        npat = attention.check_norms(self._norms[:, :n], "block")
         nq = attention.row_norms(queries, "query")
-        return (queries @ self._patterns[:n].T) / (nq[:, None] * npat[None, :]), nq
+        scores = queries @ self._patterns[:, :n].swapaxes(-1, -2)
+        scores /= nq[..., None] * npat[:, None, :]
+        return scores, nq
 
     def scores(self, queries: np.ndarray) -> np.ndarray:
         """(R, n_records) cosine score matrix; empty store gives zero columns."""
         queries = np.atleast_2d(queries)
         if self.is_empty:
             return np.zeros((queries.shape[0], 0))
-        return self._cosine(queries)[0]
+        return attention.ungroup_rows(self._cosine(attention.group_rows(queries, self.groups))[0])
 
     def recall(self, queries: np.ndarray, update_freq: bool = True
                ) -> "tuple[np.ndarray, EpisodicRecallTrace | None]":
-        """Weighted sum of the top-k most similar records per query row.
+        """Weighted sum of the top-k most similar records of each query row's group.
 
         Ties between equal scores go to the lower record index. An empty
         store recalls the zero vector. Each recalled record's freq is
@@ -133,32 +148,37 @@ class EpisodicStore:
         if self.is_empty:
             return np.zeros((queries.shape[0], self.dim)), None
         n = self._n_main + self._n_queue
-        scores, nq = self._cosine(queries)
-        idx, sel_scores = attention.top_k(scores, min(self.recall_top_k, n))
+        grouped = attention.group_rows(queries, self.groups)
+        scores, nq = self._cosine(grouped)
+        idx, sel_scores = attention.top_k(scores.reshape(-1, n), min(self.recall_top_k, n))
         weights, z = attention.clamp_normalize(sel_scores)
-        gathered = self._patterns[idx]                 # (R, K, d)
+        flat = (idx.reshape(self.groups, -1) + self._base).reshape(idx.shape)
+        patterns, norms, freqs, _ = self._flat
+        gathered = patterns[flat]                          # (G*R', K, d)
         out = np.einsum("rk,rkd->rd", weights, gathered)
         if update_freq:
-            self._freqs[:n] += np.bincount(idx.ravel(), minlength=n)
-        trace = EpisodicRecallTrace(queries, idx, gathered, sel_scores,
-                                    weights, z, nq, self._norms[idx])
-        return out, trace
+            freqs += np.bincount(flat.ravel(), minlength=freqs.size)
+        trace = EpisodicRecallTrace(grouped.reshape(-1, self.dim), idx, gathered, sel_scores,
+                                    weights, z, nq.ravel(), norms[flat])
+        return attention.ungroup_rows(out.reshape(self.groups, -1, self.dim)), trace
 
     def recall_backward(self, trace: "EpisodicRecallTrace | None", upstream: np.ndarray) -> np.ndarray:
         """Gradient w.r.t. the queries. Stored patterns are constants."""
         if trace is None:
             return np.zeros_like(upstream)
+        upstream = attention.group_rows(upstream, self.groups).reshape(-1, self.dim)
         d_weights = np.einsum("rd,rkd->rk", upstream, trace.gathered)
         d_scores = attention.weights_backward(d_weights, trace.weights, trace.z, trace.scores)
         scaled = d_scores / (trace.nq[:, None] * trace.np_sel)
         ds_dot = np.sum(d_scores * trace.scores, axis=1)
-        return (np.einsum("rk,rkd->rd", scaled, trace.gathered)
-                - (ds_dot / (trace.nq * trace.nq))[:, None] * trace.queries)
+        d_queries = (np.einsum("rk,rkd->rd", scaled, trace.gathered)
+                     - (ds_dot / (trace.nq * trace.nq))[:, None] * trace.queries)
+        return attention.ungroup_rows(d_queries.reshape(self.groups, -1, self.dim))
 
     # -- update ---------------------------------------------------------
 
     def update(self, new_patterns: np.ndarray):
-        """Insert one batch of special patterns.
+        """Insert one batch of special patterns, new_patterns.shape[0] / G per group.
 
         Filling phase: straight into the main slots. Steady state: pop as
         many tail records as needed to make room in the queue (the last k
@@ -169,16 +189,18 @@ class EpisodicStore:
         facing eviction. Main-slot frequency counters reset to zero after
         every update. A zero-norm pattern is stored; recall rejects it.
         """
-        new_patterns = np.atleast_2d(np.asarray(new_patterns, dtype=np.float64))
-        k = new_patterns.shape[0]
+        new_patterns = attention.group_rows(
+            np.atleast_2d(np.asarray(new_patterns, dtype=np.float64)), self.groups)
+        k = new_patterns.shape[1]
         if k == 0:
             return
         if k > self.queue_capacity:
             raise InvariantError(
-                f"{k} patterns per update exceeds queue capacity {self.queue_capacity}"
+                f"{k} patterns per group and update exceeds queue capacity {self.queue_capacity}"
             )
-        fresh = (new_patterns, attention.l2_norms(new_patterns),
-                 np.zeros(k, dtype=np.int64), self._birth + np.arange(k, dtype=np.int64))
+        # freq and birth are the same in every group: (1, k) rows broadcast
+        fresh = (new_patterns, attention.l2_norms(new_patterns), np.zeros((1, k), dtype=np.int64),
+                 self._birth + np.arange(k, dtype=np.int64)[None])
         self._birth += k
 
         # the queue stays empty until the main slots are full
@@ -191,30 +213,34 @@ class EpisodicStore:
             tail = cap + self._n_queue - 1
             # pool: the main slots, then the popped records tail first
             pool = np.concatenate((self._rows[:cap], self._rows[tail:tail - n_pop:-1]))
-            keep = pool[np.lexsort((self._births[pool], -self._freqs[pool]))[:cap]]
+            rank = np.lexsort((self._births[:, pool], -self._freqs[:, pool]), axis=-1)
+            keep = pool[rank[:, :cap]] + self._base            # flat rows, (G, cap)
             self._n_queue -= n_pop
-            for col in self._columns:
-                col[:cap] = col[keep]
+            for col, flat in zip(self._columns, self._flat):
+                col[:, :cap] = flat[keep]
                 # the surviving queue moves back to make room at the head
-                col[cap + n_new:cap + n_new + self._n_queue] = col[cap:cap + self._n_queue]
+                col[:, cap + n_new:cap + n_new + self._n_queue] = col[:, cap:cap + self._n_queue]
             self._put(cap, fresh, n_fill, k)
             self._n_queue += n_new
-        self._freqs[:self._n_main] = 0
+        self._freqs[:, :self._n_main] = 0
 
     # -- persistence ----------------------------------------------------
 
     def state_arrays(self, prefix: str = "episodic") -> "dict[str, np.ndarray]":
+        """Group g's arrays are keyed under prefix.format(g), so a store of
+        several groups needs a prefix with a {} field, such as "episodic/{}"."""
         out = {}
         n = self._n_main + self._n_queue
-        for part, lo, hi in (("entries", 0, self._n_main), ("queue", self._n_main, n)):
-            out[f"{prefix}/{part}/patterns"] = self._patterns[lo:hi].copy()
-            out[f"{prefix}/{part}/freqs"] = self._freqs[lo:hi].copy()
-            out[f"{prefix}/{part}/births"] = self._births[lo:hi].copy()
-        out[f"{prefix}/birth_counter"] = np.array([self._birth], dtype=np.int64)
+        for g, name in enumerate(prefix.format(g) for g in range(self.groups)):
+            for part, lo, hi in (("entries", 0, self._n_main), ("queue", self._n_main, n)):
+                out[f"{name}/{part}/patterns"] = self._patterns[g, lo:hi].copy()
+                out[f"{name}/{part}/freqs"] = self._freqs[g, lo:hi].copy()
+                out[f"{name}/{part}/births"] = self._births[g, lo:hi].copy()
+            out[f"{name}/birth_counter"] = np.array([self._birth], dtype=np.int64)
         return out
 
-    def load_state_arrays(self, arrays: "dict[str, np.ndarray]", prefix: str = "episodic"):
-        """Restore a state_arrays dict; a missing or misshapen array raises DataError."""
+    def _read_group(self, arrays: "dict[str, np.ndarray]", prefix: str):
+        """One group's (entries, queue, birth counter), checked against the store."""
         parts = []
         for part, limit in (("entries", self.capacity), ("queue", self.queue_capacity)):
             pats, freqs, births = (require(arrays, f"{prefix}/{part}/{name}")
@@ -235,10 +261,23 @@ class EpisodicStore:
         entries, queue = parts
         if len(queue[0]) and len(entries[0]) < self.capacity:
             raise DataError(f"{prefix}/queue holds records while main slots are free")
-        self._n_main, self._n_queue = len(entries[0]), len(queue[0])
-        self._put(0, entries, 0, self._n_main)
-        self._put(self._n_main, queue, 0, self._n_queue)
-        self._birth = int(counter[0])
+        return entries, queue, int(counter[0])
+
+    def load_state_arrays(self, arrays: "dict[str, np.ndarray]", prefix: str = "episodic"):
+        """Restore a state_arrays dict; a missing or misshapen array, or groups
+        that disagree on their record counts or birth counter, raise DataError."""
+        names = [prefix.format(g) for g in range(self.groups)]
+        groups = [self._read_group(arrays, name) for name in names]
+        sizes = {(len(e[0]), len(q[0]), counter) for e, q, counter in groups}
+        if len(sizes) > 1:
+            raise DataError(f"{', '.join(names)} disagree on (entries, queued, birth counter): "
+                            f"{sorted(sizes)}")
+        (self._n_main, self._n_queue, self._birth), = sizes
+        for g, (entries, queue, _) in enumerate(groups):
+            for col, stored in zip(self._columns, entries):
+                col[g, :self._n_main] = stored
+            for col, stored in zip(self._columns, queue):
+                col[g, self._n_main:self._n_main + self._n_queue] = stored
 
 
 def select_special(batch_losses: np.ndarray, batch_queries: np.ndarray) -> "np.ndarray | None":

@@ -6,7 +6,9 @@ reparameterization noise) are frozen, which is what makes the exact
 backward pass checkable against finite differences.
 
 Channel-row layout: batched per-channel vectors are stacked as
-(batch * n_channels, ...) with channel index = row % n_channels.
+(batch * n_channels, ...) with channel index = row % n_channels. The
+memories hold one group (channel-shared) or one group per channel
+(shared_memory off) and map rows to groups themselves.
 """
 
 from __future__ import annotations
@@ -24,145 +26,6 @@ from .errors import DataError
 from .nn import Mlp, ParamStore
 from .schedule import make_schedule
 from .semantic import SemanticMemory
-
-
-class SemanticBank:
-    """One channel-shared semantic memory, or per-channel copies."""
-
-    def __init__(self, store: ParamStore, cfg: TrainConfig, rng: np.random.Generator):
-        self.n_channels = cfg.n_channels
-        self.shared = cfg.shared_memory
-        shape = (cfg.semantic_size, cfg.latent_dim)
-        if self.shared:
-            blocks = store.register("semantic/blocks", rng.standard_normal(shape))
-            self.mems = [SemanticMemory(blocks)]
-        else:
-            self.mems = [
-                SemanticMemory(store.register(f"semantic/blocks/ch{j}", rng.standard_normal(shape)))
-                for j in range(self.n_channels)
-            ]
-
-    def _split(self, rows: np.ndarray):
-        """Per-channel row groups when memories are not shared."""
-        return [rows[j::self.n_channels] for j in range(self.n_channels)]
-
-    def recall(self, rows: np.ndarray):
-        if self.shared:
-            out, trace = self.mems[0].recall(rows)
-            return out, [trace]
-        out = np.zeros_like(rows)
-        traces = []
-        for j, sub in enumerate(self._split(rows)):
-            out[j::self.n_channels], trace = self.mems[j].recall(sub)
-            traces.append(trace)
-        return out, traces
-
-    def recall_backward(self, traces, upstream: np.ndarray) -> np.ndarray:
-        if self.shared:
-            return self.mems[0].recall_backward(traces[0], upstream)
-        d_rows = np.zeros_like(upstream)
-        for j in range(self.n_channels):
-            d_rows[j::self.n_channels] = self.mems[j].recall_backward(
-                traces[j], upstream[j::self.n_channels]
-            )
-        return d_rows
-
-    def losses(self, rows: np.ndarray, margin: float):
-        if self.shared:
-            l1, l2, trace = self.mems[0].losses(rows, margin)
-            return l1, l2, [trace]
-        l1 = l2 = 0.0
-        traces = []
-        for j, sub in enumerate(self._split(rows)):
-            a, b, trace = self.mems[j].losses(sub, margin)
-            l1 += a
-            l2 += b
-            traces.append(trace)
-        return l1, l2, traces
-
-    def losses_backward(self, traces, c1: float, c2: float) -> np.ndarray:
-        if self.shared:
-            return self.mems[0].losses_backward(traces[0], c1, c2)
-        rows = sum(t.queries.shape[0] for t in traces)
-        d_rows = np.zeros((rows, self.mems[0].dim))
-        for j in range(self.n_channels):
-            d_rows[j::self.n_channels] = self.mems[j].losses_backward(traces[j], c1, c2)
-        return d_rows
-
-    def scores(self, queries: np.ndarray) -> np.ndarray:
-        """(N, N1) attention-score matrix for one window's channel queries."""
-        if self.shared:
-            return self.mems[0].scores(queries)
-        return np.stack([self.mems[j].scores(queries[j:j + 1])[0]
-                         for j in range(self.n_channels)])
-
-    def rejitter(self, rng: np.random.Generator):
-        for mem in self.mems:
-            mem.rejitter(rng)
-
-
-class EpisodicBank:
-    """One channel-shared episodic store, or per-channel copies."""
-
-    def __init__(self, cfg: TrainConfig):
-        self.n_channels = cfg.n_channels
-        self.shared = cfg.shared_memory
-        n = 1 if self.shared else cfg.n_channels
-        self.stores = [
-            EpisodicStore(cfg.latent_dim, cfg.episodic_size, cfg.queue_size, cfg.recall_top_k)
-            for _ in range(n)
-        ]
-
-    def recall(self, rows: np.ndarray, update_freq: bool):
-        if self.shared:
-            out, trace = self.stores[0].recall(rows, update_freq)
-            return out, [trace]
-        out = np.zeros_like(rows)
-        traces = []
-        for j in range(self.n_channels):
-            out[j::self.n_channels], trace = self.stores[j].recall(
-                rows[j::self.n_channels], update_freq
-            )
-            traces.append(trace)
-        return out, traces
-
-    def recall_backward(self, traces, upstream: np.ndarray) -> np.ndarray:
-        if self.shared:
-            return self.stores[0].recall_backward(traces[0], upstream)
-        d_rows = np.zeros_like(upstream)
-        for j in range(self.n_channels):
-            d_rows[j::self.n_channels] = self.stores[j].recall_backward(
-                traces[j], upstream[j::self.n_channels]
-            )
-        return d_rows
-
-    def update(self, patterns: np.ndarray):
-        """patterns: (N, d), one special pattern per channel."""
-        if self.shared:
-            self.stores[0].update(patterns)
-        else:
-            for j in range(self.n_channels):
-                self.stores[j].update(patterns[j:j + 1])
-
-    def scores(self, queries: np.ndarray) -> np.ndarray:
-        if self.shared:
-            return self.stores[0].scores(queries)
-        rows = [self.stores[j].scores(queries[j:j + 1])[0] for j in range(self.n_channels)]
-        width = max((r.size for r in rows), default=0)
-        out = np.zeros((self.n_channels, width))
-        for j, r in enumerate(rows):
-            out[j, :r.size] = r
-        return out
-
-    def state_arrays(self) -> "dict[str, np.ndarray]":
-        out = {}
-        for i, store in enumerate(self.stores):
-            out.update(store.state_arrays(prefix=f"episodic/{i}"))
-        return out
-
-    def load_state_arrays(self, arrays: "dict[str, np.ndarray]"):
-        for i, store in enumerate(self.stores):
-            store.load_state_arrays(arrays, prefix=f"episodic/{i}")
 
 
 @dataclass
@@ -212,8 +75,14 @@ class ForecastModel:
                        [den_in, *cfg.den_hidden, cfg.horizon], "silu", rng)
         self.cp = conditioning.init_condition_params(
             self.params, cfg.latent_dim, cfg.horizon, cfg.log_var_init, rng)
-        self.semantic = SemanticBank(self.params, cfg, rng) if cfg.use_semantic else None
-        self.episodic = EpisodicBank(cfg) if cfg.use_episodic else None
+        groups = 1 if cfg.shared_memory else cfg.n_channels
+        self.semantic = self.episodic = None
+        if cfg.use_semantic:
+            blocks = rng.standard_normal((groups * cfg.semantic_size, cfg.latent_dim))
+            self.semantic = SemanticMemory(self.params.register("semantic/blocks", blocks), groups)
+        if cfg.use_episodic:
+            self.episodic = EpisodicStore(cfg.latent_dim, cfg.episodic_size, cfg.queue_size,
+                                          cfg.recall_top_k, groups)
         # without any memory the prior mean is identically zero, so the
         # query bypass is the only conditioning path left: force it on
         self.query_bypass = cfg.condition_uses_query or (
@@ -262,15 +131,15 @@ class ForecastModel:
         h_rows, enc_trace = conditioning.encode_rows(self.enc, x_rows)
 
         if self.semantic is not None:
-            m_sem, sem_traces = self.semantic.recall(h_rows)
-            l1_sum, l2_sum, loss_traces = self.semantic.losses(h_rows, cfg.margin)
+            m_sem, sem_trace = self.semantic.recall(h_rows)
+            l1_sum, l2_sum, loss_trace = self.semantic.losses(sem_trace, cfg.margin)
         else:
-            m_sem, sem_traces, loss_traces = np.zeros_like(h_rows), None, None
+            m_sem, sem_trace, loss_trace = np.zeros_like(h_rows), None, None
             l1_sum = l2_sum = 0.0
         if self.episodic is not None:
-            m_epi, epi_traces = self.episodic.recall(h_rows, update_freq=count_freq)
+            m_epi, epi_trace = self.episodic.recall(h_rows, update_freq=count_freq)
         else:
-            m_epi, epi_traces = np.zeros_like(h_rows), None
+            m_epi, epi_trace = np.zeros_like(h_rows), None
 
         m, prior_trace = conditioning.memory_prior(
             self.cp, m_sem, m_epi, sample=True, eps=draws.eps_prior)
@@ -306,12 +175,12 @@ class ForecastModel:
                 d_h = np.zeros_like(d_h)
             d_u = conditioning.memory_prior_backward(self.cp, prior_trace, d_m)
             if self.semantic is not None:
-                d_h = d_h + self.semantic.recall_backward(sem_traces, d_u)
+                d_h = d_h + self.semantic.recall_backward(sem_trace, d_u)
                 if cfg.alpha1 or cfg.alpha2:   # unweighted losses add exact zeros
                     d_h = d_h + self.semantic.losses_backward(
-                        loss_traces, cfg.alpha1 / batch, cfg.alpha2 / batch)
+                        loss_trace, cfg.alpha1 / batch, cfg.alpha2 / batch)
             if self.episodic is not None:
-                d_h = d_h + self.episodic.recall_backward(epi_traces, d_u)
+                d_h = d_h + self.episodic.recall_backward(epi_trace, d_u)
             self.enc.backward(enc_trace, d_h)
 
         queries = h_rows.reshape(batch, cfg.n_channels, cfg.latent_dim)
@@ -322,12 +191,9 @@ class ForecastModel:
     def condition_for(self, x0: np.ndarray):
         """Deterministic inference-time condition (H, N) plus the queries."""
         h, _ = conditioning.encode(self.enc, x0)
-        m_sem = np.zeros_like(h)
-        m_epi = np.zeros_like(h)
-        if self.semantic is not None:
-            m_sem, _ = self.semantic.recall(h)
-        if self.episodic is not None:
-            m_epi, _ = self.episodic.recall(h, update_freq=False)
+        m_sem = self.semantic.recall(h)[0] if self.semantic is not None else np.zeros_like(h)
+        m_epi = (self.episodic.recall(h, update_freq=False)[0] if self.episodic is not None
+                 else np.zeros_like(h))
         m, _ = conditioning.memory_prior(self.cp, m_sem, m_epi, sample=False)
         head_queries = h if self.query_bypass else np.zeros_like(h)
         c_rows, _ = conditioning.condition_head(self.cp, m, head_queries, sample=False)
@@ -340,7 +206,7 @@ class ForecastModel:
         c, _ = self.condition_for(x0)
 
         def predict(y_k, k):
-            embed_rows = np.broadcast_to(self.step_table[k - 1], (cfg.n_channels, cfg.embed_dim))
+            embed_rows = self.step_table[k - 1:k].repeat(cfg.n_channels, axis=0)
             y0_rows, _ = denoiser.denoise_rows(self.den, y_k.T, c.T, embed_rows)
             return y0_rows.T
 
@@ -350,7 +216,9 @@ class ForecastModel:
                                     substeps or cfg.substeps, rng)
 
     def attention_scores(self, x0: np.ndarray):
-        """(semantic (N, N1) or None, episodic (N, records) or None) for one window."""
+        """(semantic (N, N1) or None, episodic (N, records) or None) for one window.
+
+        Row j scores channel j's query against the memory of its group."""
         h, _ = conditioning.encode(self.enc, x0)
         sem = self.semantic.scores(h) if self.semantic is not None else None
         epi = self.episodic.scores(h) if self.episodic is not None else None
@@ -361,18 +229,28 @@ class ForecastModel:
     def state_arrays(self) -> "dict[str, np.ndarray]":
         arrays = {f"param/{p.id}": p.values for p in self.params}
         if self.episodic is not None:
-            arrays.update(self.episodic.state_arrays())
+            arrays.update(self.episodic.state_arrays("episodic/{}"))
         return arrays
 
     def load_state_arrays(self, arrays: "dict[str, np.ndarray]"):
-        """Restore parameters and episodic state; nothing is written if a parameter
-        is missing or misshapen (DataError)."""
+        """Restore parameters and episodic state.
+
+        A parameter or episodic array that is missing, misshapen, or that
+        this model does not hold (a checkpoint of another config) raises
+        DataError before anything is written.
+        """
         stored = [require(arrays, f"param/{p.id}") for p in self.params]
         for p, values in zip(self.params, stored):
             if values.shape != p.values.shape:
                 raise DataError(f"checkpoint shape {values.shape} != {p.values.shape} "
                                 f"for parameter {p.id!r}")
+        own = self.state_arrays()
+        extra = sorted(name for name in arrays
+                       if name.startswith(("param/", "episodic/")) and name not in own)
+        if extra:
+            raise DataError(f"checkpoint holds arrays this model does not: "
+                            f"{', '.join(map(repr, extra))} (written under another config?)")
+        if self.episodic is not None:
+            self.episodic.load_state_arrays(arrays, "episodic/{}")
         for p, values in zip(self.params, stored):
             p.values[...] = values
-        if self.episodic is not None:
-            self.episodic.load_state_arrays(arrays)

@@ -1,10 +1,11 @@
-"""Semantic memory: learnable channel-shared pattern blocks.
+"""Semantic memory: learnable pattern blocks, channel-shared or per channel.
 
-A bank of N1 d-vectors addressed by cosine attention. Recall aggregates
-every block (no top-k truncation); the compactness losses pull each query
-toward its most similar block and push the runner-up at least a margin
-away. Blocks are plain parameters updated by the optimizer, so gradient
-reaches them both through recall and through the losses.
+One bank of N1 d-vectors per group, addressed by cosine attention.
+Recall aggregates every block of the query's group (no top-k truncation);
+the compactness losses pull each query toward its most similar block and
+push the runner-up at least a margin away. Blocks are plain parameters
+updated by the optimizer, so gradient reaches them both through recall and
+through the losses.
 """
 
 from __future__ import annotations
@@ -24,38 +25,47 @@ cosine_score = attention.cosine_score
 
 @dataclass
 class SemanticRecallTrace:
-    queries: np.ndarray
-    scores: np.ndarray
-    weights: np.ndarray
-    z: np.ndarray
-    nq: np.ndarray
-    nb: np.ndarray
-    blocks: np.ndarray
+    """Row arrays are group-major: group g's R' query rows come g-th."""
+
+    queries: np.ndarray    # (G*R', d)
+    scores: np.ndarray     # (G*R', N1)
+    weights: np.ndarray    # (G*R', N1)
+    z: np.ndarray          # (G*R',)
+    nq: np.ndarray         # (G*R',)
+    nb: np.ndarray         # (G, N1)
+    blocks: np.ndarray     # (G, N1, d)
 
 
 @dataclass
 class SemanticLossTrace:
-    queries: np.ndarray
-    nearest: np.ndarray        # per-row index of most similar block
+    queries: np.ndarray        # group-major, as in SemanticRecallTrace
+    nearest: np.ndarray        # per-row parameter row of the most similar block
     second: "np.ndarray | None"
     hinge_active: "np.ndarray | None"
 
 
 class SemanticMemory:
-    """Wraps the (N1, d) block parameter with recall and loss machinery."""
+    """The (G*N1, d) block parameter, G groups of N1 blocks, with recall and losses.
 
-    def __init__(self, blocks: ParamTensor):
-        if blocks.values.ndim != 2:
-            raise InvariantError("semantic blocks must be a (N1, d) matrix")
+    Query rows are channel rows, grouped by attention.group_rows: one group
+    shares the blocks across channels, n_channels groups give each channel
+    its own N1 blocks.
+    """
+
+    def __init__(self, blocks: ParamTensor, groups: int = 1):
+        if blocks.values.ndim != 2 or blocks.values.shape[0] % groups:
+            raise InvariantError(f"semantic blocks must be a ({groups} * N1, d) matrix")
         self.blocks = blocks
+        self.groups = groups
 
     @property
     def count(self) -> int:
-        return self.blocks.values.shape[0]
+        """Blocks per group."""
+        return self.blocks.values.shape[0] // self.groups
 
-    @property
-    def dim(self) -> int:
-        return self.blocks.values.shape[1]
+    def _split(self, a: np.ndarray) -> np.ndarray:
+        """(G*X, ...) group-major array as (G, X, ...)."""
+        return a.reshape(self.groups, -1, *a.shape[1:])
 
     def rejitter(self, rng: np.random.Generator):
         """Re-draw any block whose norm collapsed below the floor."""
@@ -63,41 +73,58 @@ class SemanticMemory:
         norms = np.sqrt(np.sum(vals * vals, axis=1))
         bad = norms < REJITTER_NORM
         if np.any(bad):
-            vals[bad] = rng.standard_normal((int(bad.sum()), self.dim))
+            vals[bad] = rng.standard_normal((int(bad.sum()), vals.shape[1]))
 
     def scores(self, queries: np.ndarray) -> np.ndarray:
-        """Raw (R, N1) cosine score matrix; feeds the attention-score export."""
-        s, _, _ = attention.cosine_matrix(self.blocks.values, queries)
-        return s
+        """Raw (R, N1) cosine scores of each row against its group's blocks;
+        feeds the attention-score export."""
+        s, _, _ = attention.cosine_matrix(self._split(self.blocks.values),
+                                          attention.group_rows(queries, self.groups))
+        return attention.ungroup_rows(s)
 
     def recall(self, queries: np.ndarray) -> "tuple[np.ndarray, SemanticRecallTrace]":
-        """Aggregate all blocks per query with clamp-normalized weights."""
-        if self.count < 1:
+        """Aggregate all of a group's blocks per query with clamp-normalized weights."""
+        blocks = self._split(self.blocks.values)
+        _, n1, dim = blocks.shape
+        if n1 < 1:
             raise InvariantError("semantic memory is empty")
-        blocks = self.blocks.values
-        scores, nq, nb = attention.cosine_matrix(blocks, queries)
+        grouped = attention.group_rows(queries, self.groups)
+        scores, nq, nb = attention.cosine_matrix(blocks, grouped)
         weights, z = attention.clamp_normalize(scores)
-        out = weights @ blocks
-        return out, SemanticRecallTrace(queries, scores, weights, z, nq, nb, blocks)
+        out = attention.ungroup_rows(weights @ blocks)
+        return out, SemanticRecallTrace(grouped.reshape(-1, dim), scores.reshape(-1, n1),
+                                        weights.reshape(-1, n1), z.ravel(), nq.ravel(),
+                                        nb, blocks)
 
     def recall_backward(self, trace: SemanticRecallTrace, upstream: np.ndarray) -> np.ndarray:
         """Accumulate block grads; return gradient w.r.t. the queries."""
-        d_weights = upstream @ trace.blocks.T
-        self.blocks.grad += trace.weights.T @ upstream
-        d_scores = attention.weights_backward(d_weights, trace.weights, trace.z, trace.scores)
+        split = self._split
+        upstream = attention.group_rows(upstream, self.groups)
+        weights, scores = split(trace.weights), split(trace.scores)
+        grad = split(self.blocks.grad)
+        d_weights = upstream @ trace.blocks.swapaxes(-1, -2)
+        grad += weights.swapaxes(-1, -2) @ upstream
+        d_scores = attention.weights_backward(d_weights, weights, split(trace.z), scores)
         d_queries, d_blocks = attention.cosine_matrix_backward(
-            d_scores, trace.blocks, trace.queries, trace.scores, trace.nq, trace.nb
+            d_scores, trace.blocks, split(trace.queries), scores, split(trace.nq), trace.nb
         )
-        self.blocks.grad += d_blocks
-        return d_queries
+        grad += d_blocks
+        return attention.ungroup_rows(d_queries)
 
-    def losses(self, queries: np.ndarray, margin: float) -> "tuple[float, float, SemanticLossTrace]":
-        """Consistency and contrastive losses over the query rows.
+    def losses(self, trace: SemanticRecallTrace, margin: float
+               ) -> "tuple[float, float, SemanticLossTrace]":
+        """Consistency and contrastive losses over a recall's query rows.
 
-        Nearest/second-nearest are ranked by cosine score, ties to the
-        lowest block index. With a single block the contrastive term is 0.
+        Nearest/second-nearest are ranked by the recall's cosine scores,
+        ties to the lowest block index. With a single block the contrastive
+        term is 0.
         """
-        order, _ = attention.top_k(self.scores(queries), min(2, self.count))
+        # top_k scratches its input, and recall_backward still reads the scores
+        order, _ = attention.top_k(trace.scores.copy(), min(2, self.count))
+        # block index within the group -> row of the (G*N1, d) parameter
+        order += np.repeat(np.arange(self.groups) * self.count,
+                           len(order) // self.groups)[:, None]
+        queries = trace.queries
         nearest = order[:, 0]
         d1 = queries - self.blocks.values[nearest]
         sq1 = np.sum(d1 * d1, axis=1)
@@ -125,4 +152,4 @@ class SemanticMemory:
             d_queries += 2.0 * c2 * act * (d1 - d2)
             np.add.at(self.blocks.grad, trace.nearest, -2.0 * c2 * act * d1)
             np.add.at(self.blocks.grad, trace.second, 2.0 * c2 * act * d2)
-        return d_queries
+        return attention.ungroup_rows(self._split(d_queries))

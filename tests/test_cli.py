@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 
@@ -190,10 +191,12 @@ class TestCliCommands:
         assert err["error"] == "DataError" and "checkpoint.bin" in err["message"]
 
     @pytest.mark.parametrize("train_sets,eval_sets,message", [
-        ([], ["shared_memory=false"], "'param/semantic/blocks/ch0'"),
+        ([], ["shared_memory=false"], "(3, 4) != (6, 4) for parameter 'semantic/blocks'"),
         (["use_semantic=false"], ["use_semantic=false", "shared_memory=false"],
          "'episodic/1/entries/patterns'"),
         ([], ["episodic_size=2"], "capacity 2"),
+        ([], ["use_semantic=false"], "does not: 'param/semantic/blocks'"),
+        ([], ["use_episodic=false"], "does not: 'episodic/0/birth_counter'"),
     ])
     def test_checkpoint_of_another_config_is_data_error(self, tmp_path, tiny_cfg_file, capsys,
                                                          train_sets, eval_sets, message):
@@ -209,6 +212,15 @@ class TestCliCommands:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DataError" and err["exit_code"] == 2
         assert message in err["message"]
+
+    @pytest.mark.skipif(importlib.util.find_spec("threadpoolctl") is not None,
+                        reason="threadpoolctl is installed and applies --threads")
+    def test_threads_without_threadpoolctl_is_usage_error(self, tmp_path, tiny_cfg_file, capsys):
+        out = tmp_path / "run"
+        assert run(["train", "--config", tiny_cfg_file, "--out", str(out), "--threads", "2"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "UsageError" and "OPENBLAS_NUM_THREADS" in err["message"]
+        assert not out.exists()
 
     def test_input_files_not_mutated(self, tmp_path):
         from memdiff.data import dataset_to_csv, synth_generate as gen

@@ -368,3 +368,87 @@ class TestFuzzInvariants:
                 assert all(rec.freq == 0 for rec in store.entries)
             assert len(store.entries) <= n2
             assert len(store.queue) <= n3
+
+
+class TestGroupParity:
+    """n groups in one store against n single-group stores, array for array."""
+
+    @staticmethod
+    def same_records(got, want):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.pattern, w.pattern)
+            assert (g.freq, g.birth) == (w.freq, w.birth)
+
+    @pytest.mark.parametrize("n,dim,n2,n3,top_k,seed", [
+        (3, 3, 4, 2, 2, 0), (2, 2, 3, 3, 9, 1), (4, 4, 5, 1, 3, 2), (2, 3, 6, 4, 1, 3)])
+    def test_random_operation_sequence(self, n, dim, n2, n3, top_k, seed):
+        rng = np.random.default_rng(seed)
+        grouped = EpisodicStore(dim, n2, n3, top_k, groups=n)
+        singles = [EpisodicStore(dim, n2, n3, top_k) for _ in range(n)]
+        # drawing patterns and queries from a small pool stores duplicates,
+        # which score exact ties
+        pool = rng.standard_normal((4, dim))
+
+        def rows(count):
+            out = rng.standard_normal((count, dim))
+            dup = rng.random(count) < 0.6
+            out[dup] = pool[rng.integers(0, len(pool), int(dup.sum()))]
+            return out
+
+        for _ in range(200):
+            op = rng.random()
+            if op < 0.45:
+                q = rows(n * int(rng.integers(1, 4)))
+                if rng.random() < 0.1:
+                    q[0] = np.nan
+                up = rng.standard_normal(q.shape)
+                count = bool(rng.random() < 0.8)
+                out, trace = grouped.recall(q, update_freq=count)
+                dq = grouped.recall_backward(trace, up)
+                scores = grouped.scores(q)
+                for j, single in enumerate(singles):
+                    sub = slice(j, None, n)
+                    s_out, s_trace = single.recall(q[sub], update_freq=count)
+                    np.testing.assert_array_equal(out[sub], s_out)
+                    np.testing.assert_array_equal(dq[sub], single.recall_backward(s_trace, up[sub]))
+                    np.testing.assert_array_equal(scores[sub], single.scores(q[sub]))
+                    assert (trace is None) == (s_trace is None)
+                    if trace is not None:
+                        np.testing.assert_array_equal(
+                            trace.idx.reshape(n, -1, trace.idx.shape[1])[j], s_trace.idx)
+            elif op < 0.9:
+                new = rows(n * int(rng.integers(1, n3 + 1)))
+                grouped.update(new)
+                for j, single in enumerate(singles):
+                    single.update(new[j::n])
+            else:
+                arrays = grouped.state_arrays("episodic/{}")
+                for j, single in enumerate(singles):
+                    for key, value in single.state_arrays(f"episodic/{j}").items():
+                        assert arrays[key].dtype == value.dtype, key
+                        np.testing.assert_array_equal(arrays[key], value, err_msg=key)
+                grouped = EpisodicStore(dim, n2, n3, top_k, groups=n)
+                grouped.load_state_arrays(arrays, "episodic/{}")
+                singles = [EpisodicStore(dim, n2, n3, top_k) for _ in range(n)]
+                for j, single in enumerate(singles):
+                    single.load_state_arrays(arrays, f"episodic/{j}")
+            # snapshots list the records group by group
+            for part in ("entries", "queue", "records"):
+                self.same_records(getattr(grouped, part),
+                                  [rec for single in singles for rec in getattr(single, part)])
+
+    def test_groups_that_disagree_are_data_error(self):
+        src = EpisodicStore(dim=2, capacity=2, queue_capacity=1, groups=2)
+        src.update(np.stack([unit(0), unit(90)]))
+        other = EpisodicStore(dim=2, capacity=2, queue_capacity=1)
+        for angle in (0, 90):
+            other.update(unit(angle)[None])            # two entries, birth counter 2
+        ours = src.state_arrays("episodic/{}")
+        for name, arrays in (
+                ("entries", {**ours, **other.state_arrays("episodic/1")}),
+                ("counter", {**ours, "episodic/1/birth_counter": np.array([7], dtype=np.int64)})):
+            target = EpisodicStore(dim=2, capacity=2, queue_capacity=1, groups=2)
+            with pytest.raises(DataError, match="disagree"):
+                target.load_state_arrays(arrays, "episodic/{}")
+            assert target.is_empty, name

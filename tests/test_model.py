@@ -167,11 +167,11 @@ class TestEpisodicIsolation:
         cfg = tiny_config()
         model = seeded_model(cfg, seed=7)
         populate_episodic(model, rng)
-        snapshot = [rec.pattern.copy() for rec in model.episodic.stores[0].records]
+        snapshot = [rec.pattern.copy() for rec in model.episodic.records]
         batch_x, batch_y = random_batch(cfg, rng)
         model.params.zero_grads()
         model.loss(batch_x, batch_y, draw_step_randomness(rng, cfg, 2))
-        for rec, before in zip(model.episodic.stores[0].records, snapshot):
+        for rec, before in zip(model.episodic.records, snapshot):
             np.testing.assert_array_equal(rec.pattern, before)
         assert not any(p.id.startswith("episodic") for p in model.params)
 
@@ -203,7 +203,7 @@ class TestTrainerBehavior:
     def test_one_episodic_update_per_step(self, rng):
         trainer = tiny_trainer()
         cfg = trainer.cfg
-        store = trainer.model.episodic.stores[0]
+        store = trainer.model.episodic
         for step in range(3):
             batch = random_batch(cfg, rng)
             trainer.training_step(*batch)

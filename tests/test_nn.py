@@ -448,6 +448,20 @@ class TestCheckpoint:
         checkpoint.save(str(path), arrays, meta or {"step": 2})
         return path.read_bytes()
 
+    def test_failed_save_keeps_the_previous_file(self, tmp_path):
+        blob = self.saved(tmp_path)
+
+        class Unwritable:
+            def __array__(self, dtype=None, copy=None):
+                raise OSError("device gone")
+
+        # entries are written in name order, so "param/w" is on disk when "z" fails
+        arrays = {"param/w": np.ones((4, 3)), "z": Unwritable()}
+        with pytest.raises(OSError, match="device gone"):
+            checkpoint.save(str(tmp_path / "good.bin"), arrays)
+        assert (tmp_path / "good.bin").read_bytes() == blob
+        assert [p.name for p in tmp_path.iterdir()] == ["good.bin"]
+
     @pytest.mark.parametrize("cut", [3, 20, 40, -3, -1])
     def test_truncated_file_is_data_error_naming_it(self, tmp_path, cut):
         blob = self.saved(tmp_path)

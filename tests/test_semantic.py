@@ -99,7 +99,7 @@ class TestLosses:
         store, mem = make_memory(2, 2)
         store["semantic/blocks"].values[...] = np.array([[1.0, 0.0], [0.0, 10.0]])
         q = np.array([[1.0, 0.0]])
-        l1, l2, _ = mem.losses(q, margin=1.0)
+        l1, l2, _ = mem.losses(mem.recall(q)[1], margin=1.0)
         assert l1 == 0.0
         # second block is far: hinge = 0 - |q - b2|^2 + 1 < 0
         assert l2 == 0.0
@@ -107,33 +107,33 @@ class TestLosses:
     def test_hand_arithmetic_two_blocks(self):
         store, mem = make_memory(2, 2)
         store["semantic/blocks"].values[...] = np.array([[1.0, 0.0], [0.0, 1.0]])
-        l1, l2, _ = mem.losses(np.array([[1.0, 0.0]]), margin=1.0)
+        l1, l2, _ = mem.losses(mem.recall(np.array([[1.0, 0.0]]))[1], margin=1.0)
         assert l1 == 0.0
         assert l2 == max(0.0 - 2.0 + 1.0, 0.0) == 0.0
 
     def test_tie_with_zero_margin(self):
         store, mem = make_memory(2, 2)
         store["semantic/blocks"].values[...] = np.array([[1.0, 1.0], [1.0, 1.0]])
-        l1, l2, _ = mem.losses(np.array([[2.0, 2.0]]), margin=0.0)
+        l1, l2, _ = mem.losses(mem.recall(np.array([[2.0, 2.0]]))[1], margin=0.0)
         assert l2 == 0.0
 
     def test_single_block_no_contrastive(self):
         _, mem = make_memory(1, 3, seed=8)
-        l1, l2, _ = mem.losses(np.ones((2, 3)), margin=1.0)
+        l1, l2, _ = mem.losses(mem.recall(np.ones((2, 3)))[1], margin=1.0)
         assert l2 == 0.0
         assert l1 >= 0.0
 
     def test_monotone_in_margin(self):
         _, mem = make_memory(5, 4, seed=9)
         q = np.random.default_rng(10).standard_normal((8, 4))
-        values = [mem.losses(q, margin=m)[1] for m in (0.0, 0.5, 1.0, 2.0)]
+        values = [mem.losses(mem.recall(q)[1], margin=m)[1] for m in (0.0, 0.5, 1.0, 2.0)]
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_nearest_tiebreak_lowest_index(self):
         store, mem = make_memory(3, 2)
         store["semantic/blocks"].values[...] = np.array([[2.0, 0.0], [4.0, 0.0], [0.0, 1.0]])
         # blocks 0 and 1 have identical cosine score 1.0 for this query
-        _, _, trace = mem.losses(np.array([[1.0, 0.0]]), margin=0.5)
+        _, _, trace = mem.losses(mem.recall(np.array([[1.0, 0.0]]))[1], margin=0.5)
         assert trace.nearest[0] == 0
         assert trace.second[0] == 1
 
@@ -148,7 +148,7 @@ class TestLosses:
         q = rng.integers(-2, 3, (40, 3)).astype(float)
         q[np.all(q == 0, axis=1)] = 1.0
         order = np.argsort(-mem.scores(q), axis=1, kind="stable")
-        _, _, trace = mem.losses(q, margin=0.5)
+        _, _, trace = mem.losses(mem.recall(q)[1], margin=0.5)
         np.testing.assert_array_equal(trace.nearest, order[:, 0])
         np.testing.assert_array_equal(trace.second, order[:, 1])
 
@@ -158,11 +158,11 @@ class TestLosses:
         c1, c2 = 0.7, 0.4
 
         def loss():
-            l1, l2, _ = mem.losses(q, margin=0.8)
+            l1, l2, _ = mem.losses(mem.recall(q)[1], margin=0.8)
             return c1 * l1 + c2 * l2
 
         store.zero_grads()
-        _, _, trace = mem.losses(q, margin=0.8)
+        _, _, trace = mem.losses(mem.recall(q)[1], margin=0.8)
         dq = mem.losses_backward(trace, c1, c2)
         report = finite_diff_check(loss, store, tolerance=1e-5, h=1e-6)
         assert report.passed, report.max_rel_error
@@ -172,8 +172,8 @@ class TestLosses:
                 qp, qm = q.copy(), q.copy()
                 qp[r, i] += h
                 qm[r, i] -= h
-                lp = mem.losses(qp, 0.8)
-                lm = mem.losses(qm, 0.8)
+                lp = mem.losses(mem.recall(qp)[1], 0.8)
+                lm = mem.losses(mem.recall(qm)[1], 0.8)
                 fd = (c1 * (lp[0] - lm[0]) + c2 * (lp[1] - lm[1])) / (2 * h)
                 np.testing.assert_allclose(dq[r, i], fd, rtol=1e-5, atol=1e-8)
 
@@ -188,7 +188,7 @@ class TestUpdateDynamics:
         store.zero_grads()
         out, trace = mem.recall(q)
         mem.recall_backward(trace, np.ones_like(out))
-        _, _, ltrace = mem.losses(q, margin=1.0)
+        _, _, ltrace = mem.losses(trace, margin=1.0)
         mem.losses_backward(ltrace, 1.0, 1.0)
         Adam(lr=0.01).step(store)
         nearest = ltrace.nearest[0]
@@ -224,3 +224,68 @@ def test_top_k_picks_what_the_stable_sort_picks(rows, cols, seed):
         idx, vals = top_k(scores.copy(), k)
         np.testing.assert_array_equal(idx, want)
         np.testing.assert_array_equal(vals, np.take_along_axis(scores, want, axis=1))
+
+
+class TestGroupParity:
+    """n groups in one memory against n single-group memories, array for array."""
+
+    @pytest.mark.parametrize("n,n1,dim,seed", [(3, 4, 3, 0), (4, 1, 2, 1), (2, 5, 4, 2)])
+    def test_random_operation_sequence(self, n, n1, dim, seed):
+        rng = np.random.default_rng(seed)
+
+        def ints(shape):
+            # few levels and duplicate rows: scores tie exactly
+            out = rng.integers(-2, 3, shape).astype(float)
+            out[np.all(out == 0, axis=1)] = 1.0
+            return out
+
+        blocks = ints((n * n1, dim))
+        blocks[rng.integers(0, n * n1, n)] = blocks[0]
+        store = ParamStore()
+        grouped = SemanticMemory(store.register("semantic/blocks", blocks.copy()), groups=n)
+        stores = [ParamStore() for _ in range(n)]
+        singles = [SemanticMemory(s.register("b", blocks[j * n1:(j + 1) * n1].copy()))
+                   for j, s in enumerate(stores)]
+        for _ in range(30):
+            q = ints((n * int(rng.integers(1, 5)), dim))
+            up = rng.standard_normal(q.shape)
+            c1, c2, margin = rng.random(3)
+            for s in (store, *stores):
+                s.zero_grads()
+            out, trace = grouped.recall(q)
+            l1, l2, ltrace = grouped.losses(trace, margin)
+            dq_recall = grouped.recall_backward(trace, up)
+            dq_losses = grouped.losses_backward(ltrace, c1, c2)
+            sums = np.zeros(2)
+            for j, single in enumerate(singles):
+                rows = slice(j, None, n)
+                s_out, s_trace = single.recall(q[rows])
+                s_l1, s_l2, s_ltrace = single.losses(s_trace, margin)
+                np.testing.assert_array_equal(out[rows], s_out)
+                np.testing.assert_array_equal(dq_recall[rows],
+                                              single.recall_backward(s_trace, up[rows]))
+                np.testing.assert_array_equal(dq_losses[rows],
+                                              single.losses_backward(s_ltrace, c1, c2))
+                np.testing.assert_array_equal(grouped.blocks.grad[j * n1:(j + 1) * n1],
+                                              single.blocks.grad)
+                np.testing.assert_array_equal(ltrace.nearest.reshape(n, -1)[j] - j * n1,
+                                              s_ltrace.nearest)
+                if n1 > 1:
+                    np.testing.assert_array_equal(ltrace.second.reshape(n, -1)[j] - j * n1,
+                                                  s_ltrace.second)
+                np.testing.assert_array_equal(grouped.scores(q)[rows], single.scores(q[rows]))
+                sums += (s_l1, s_l2)
+            # one sum over every row where the singles summed per group
+            np.testing.assert_allclose((l1, l2), sums, rtol=1e-12)
+            # collapse random blocks; one rejitter draw equals the singles' draws in turn
+            dead = rng.random(n * n1) < 0.2
+            grouped.blocks.values[dead] = 1e-12
+            for j, single in enumerate(singles):
+                single.blocks.values[dead[j * n1:(j + 1) * n1]] = 1e-12
+            draw_seed = int(rng.integers(2 ** 31))
+            grouped.rejitter(np.random.default_rng(draw_seed))
+            draws = np.random.default_rng(draw_seed)
+            for single in singles:
+                single.rejitter(draws)
+            np.testing.assert_array_equal(grouped.blocks.values,
+                                          np.concatenate([s.blocks.values for s in singles]))
