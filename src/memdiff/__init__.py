@@ -13,7 +13,7 @@ from .denoiser import ddim_sample, ddpm_sample, ddpm_step, denoise_predict, step
 from .episodic import EpisodicStore, select_special
 from .errors import DataError, InvariantError, MemdiffError, NumericError, UsageError
 from .model import ForecastModel, StepDraws, draw_step_randomness
-from .nn import Adam, GradCheckReport, Mlp, ParamStore, ParamTensor, adam_step, finite_diff_check
+from .nn import Adam, GradCheckReport, Mlp, ParamStore, ParamTensor, finite_diff_check
 from .schedule import NoiseSchedule, forward_sample, make_schedule, posterior_mean_var
 from .semantic import SemanticMemory, cosine_score
 from .trainer import PreparedData, Trainer, grid_search, mae, mse, prepare
@@ -25,7 +25,7 @@ __all__ = [
     "ForecastModel", "GradCheckReport", "InvariantError", "MemdiffError",
     "Mlp", "NoiseSchedule", "NumericError", "ParamStore", "ParamTensor",
     "PreparedData", "SemanticMemory", "SeriesWindow", "StepDraws",
-    "SynthSpec", "TrainConfig", "Trainer", "UsageError", "adam_step",
+    "SynthSpec", "TrainConfig", "Trainer", "UsageError",
     "cosine_score", "ddim_sample", "ddpm_sample", "ddpm_step",
     "denoise_predict", "draw_step_randomness", "finite_diff_check",
     "forward_sample", "grid_search", "load_config", "load_csv", "mae",

@@ -37,15 +37,15 @@ def init_condition_params(store: ParamStore, latent_dim: int, horizon: int,
     # Near-identity init for the square maps keeps the recalled-memory signal
     # at full scale from the first step instead of attenuating it ~sqrt(3)x
     # per layer the way fan-in scaling would.
-    eye = np.eye(d, dtype=store.dtype)
+    eye = np.eye(d)
     jitter = 1.0 / np.sqrt(d)
     return ConditionParams(
-        w_prior=store.register("prior/W2", eye + uniform_fan_in(rng, d, (d, d), store.dtype) * jitter),
-        w_cond=store.register("cond/W1", eye + uniform_fan_in(rng, d, (d, d), store.dtype) * jitter),
-        log_var_prior=store.register("prior/log_var", np.full(d, log_var_init, dtype=store.dtype)),
-        log_var_cond=store.register("cond/log_var", np.full(d, log_var_init, dtype=store.dtype)),
-        proj=store.register("cond/proj", uniform_fan_in(rng, 2 * d, (horizon, 2 * d), store.dtype)),
-        proj_bias=store.register("cond/proj_bias", uniform_fan_in(rng, 2 * d, (horizon,), store.dtype)),
+        w_prior=store.register("prior/W2", eye + uniform_fan_in(rng, d, (d, d)) * jitter),
+        w_cond=store.register("cond/W1", eye + uniform_fan_in(rng, d, (d, d)) * jitter),
+        log_var_prior=store.register("prior/log_var", np.full(d, log_var_init)),
+        log_var_cond=store.register("cond/log_var", np.full(d, log_var_init)),
+        proj=store.register("cond/proj", uniform_fan_in(rng, 2 * d, (horizon, 2 * d))),
+        proj_bias=store.register("cond/proj_bias", uniform_fan_in(rng, 2 * d, (horizon,))),
     )
 
 
@@ -70,11 +70,11 @@ class PriorTrace:
 
 
 def memory_prior(cp: ConditionParams, m_sem: np.ndarray, m_epi: np.ndarray,
-                 sample: bool, eps: "np.ndarray | None" = None):
-    """Sampled (or mean) prior per channel row: W2 (m_e + m_s) [+ sigma * eps]."""
+                 eps: "np.ndarray | None" = None):
+    """Prior per channel row: W2 (m_e + m_s) + sigma * eps, the mean when eps is None."""
     u = m_sem + m_epi
     mean = u @ cp.w_prior.values.T
-    if not sample:
+    if eps is None:
         return mean, PriorTrace(u, None, None)
     sigma = np.exp(0.5 * cp.log_var_prior.values)
     return mean + sigma * eps, PriorTrace(u, eps, sigma)
@@ -98,19 +98,20 @@ class HeadTrace:
 
 
 def condition_head(cp: ConditionParams, m: np.ndarray, queries: np.ndarray,
-                   sample: bool, eps: "np.ndarray | None" = None):
-    """Per-channel condition columns: project [W1 m (+ noise) ; query] to R^H.
+                   eps: "np.ndarray | None" = None):
+    """Per-channel condition columns: project [W1 m (+ sigma * eps) ; query] to R^H.
 
-    Returns condition rows (R, H); the caller reshapes per sample to (H, N).
+    Without eps the latent is the mean. Returns condition rows (R, H); the
+    caller reshapes per sample to (H, N).
     """
     latent = m @ cp.w_cond.values.T
     sigma = None
-    if sample:
+    if eps is not None:
         sigma = np.exp(0.5 * cp.log_var_cond.values)
         latent = latent + sigma * eps
     z = np.concatenate([latent, queries], axis=1)
     c_rows = z @ cp.proj.values.T + cp.proj_bias.values
-    return c_rows, HeadTrace(m, queries, z, eps if sample else None, sigma)
+    return c_rows, HeadTrace(m, queries, z, eps, sigma)
 
 
 def condition_head_backward(cp: ConditionParams, trace: HeadTrace, upstream: np.ndarray):
@@ -127,21 +128,13 @@ def condition_head_backward(cp: ConditionParams, trace: HeadTrace, upstream: np.
     return d_m, d_queries
 
 
-def future_mixup(c: np.ndarray, y0: np.ndarray, mask: "np.ndarray | None", training: bool):
-    """Blend the condition with the ground-truth future through a uniform mask.
+def future_mixup(c: np.ndarray, y0: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Training-time blend of the condition with the ground-truth future.
 
-    Training: c_mix = mask * c + (1 - mask) * y0 elementwise, mask entries
-    in [0, 1). Inference has no ground truth; the condition passes through
-    unchanged (mode flag enforced here, mask ignored).
+    c_mix = mask * c + (1 - mask) * y0 elementwise, mask entries in [0, 1).
+    Inference has no ground truth and uses the condition unmixed.
     """
-    if not training:
-        return c, None
-    if mask is None or mask.shape != c.shape:
-        raise DataError("training-mode mixup requires a mask shaped like c")
-    if c.shape != y0.shape:
-        raise DataError(f"condition shape {c.shape} != target shape {y0.shape}")
-    return mask * c + (1.0 - mask) * y0, mask
-
-
-def draw_mixup_mask(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.uniform(0.0, 1.0, size=shape)
+    if mask.shape != c.shape or y0.shape != c.shape:
+        raise DataError(f"mixup needs mask {mask.shape} and target {y0.shape} "
+                        f"shaped like the condition {c.shape}")
+    return mask * c + (1.0 - mask) * y0

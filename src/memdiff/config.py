@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import UsageError
+from .schedule import SCHEDULE_KINDS
 
 
 @dataclass
@@ -36,7 +37,6 @@ class TrainConfig:
     den_hidden: "list[int]" = field(default_factory=lambda: [256, 256, 256])
     embed_dim: int = 16
     log_var_init: float = -4.0
-    precision: str = "double"                            # double | single
 
     # [diffusion]
     diffusion_steps: int = 10
@@ -90,10 +90,19 @@ class TrainConfig:
             "diffusion_steps": self.diffusion_steps, "semantic_size": self.semantic_size,
             "episodic_size": self.episodic_size, "queue_size": self.queue_size,
             "recall_top_k": self.recall_top_k, "batch_size": self.batch_size,
-            "embed_dim": self.embed_dim,
+            "embed_dim": self.embed_dim, "checkpoint_every": self.checkpoint_every,
+            "threads": self.threads, "stride_train": self.stride_train,
         }
         for name, value in positive.items():
             if value < 1:
+                raise UsageError(f"config: {name} must be positive, got {value}")
+        nonnegative = {"epochs": self.epochs, "max_steps": self.max_steps,
+                       "patience": self.patience, "stride_eval": self.stride_eval}
+        for name, value in nonnegative.items():
+            if value < 0:
+                raise UsageError(f"config: {name} must be nonnegative, got {value}")
+        for name, value in {"lr": self.lr, "grad_clip": self.grad_clip}.items():
+            if not value > 0.0:   # also rejects nan
                 raise UsageError(f"config: {name} must be positive, got {value}")
         if self.queue_size > self.episodic_size:
             raise UsageError("config: queue_size must not exceed episodic_size")
@@ -103,8 +112,9 @@ class TrainConfig:
             raise UsageError("config: embed_dim must be even")
         if not 1 <= self.substeps <= self.diffusion_steps:
             raise UsageError("config: substeps must lie in 1..diffusion_steps")
-        if self.precision not in ("double", "single"):
-            raise UsageError(f"config: unknown precision {self.precision!r}")
+        if self.schedule_kind not in SCHEDULE_KINDS:
+            raise UsageError(f"config: unknown schedule_kind {self.schedule_kind!r}; "
+                             f"choose from {', '.join(SCHEDULE_KINDS)}")
         if self.missing_policy not in ("strict", "ffill"):
             raise UsageError(f"config: unknown missing_policy {self.missing_policy!r}")
         if self.use_episodic and self.shared_memory and self.n_channels > self.queue_size:
@@ -127,7 +137,7 @@ _SECTIONS = {
     "data": ["dataset", "csv_path", "split_ratios", "missing_policy",
              "stride_train", "stride_eval"],
     "model": ["lookback", "horizon", "n_channels", "latent_dim", "enc_hidden",
-              "den_hidden", "embed_dim", "log_var_init", "precision"],
+              "den_hidden", "embed_dim", "log_var_init"],
     "diffusion": ["diffusion_steps", "schedule_kind", "beta_min", "beta_max",
                   "substeps", "ancestral"],
     "memory": ["use_semantic", "use_episodic", "shared_memory", "condition_uses_query",
@@ -188,21 +198,24 @@ def load_config(path: "str | None", overrides: "list[str] | None" = None) -> Tra
     cfg = TrainConfig()
     for key, val in values.items():
         current = getattr(cfg, key)
-        if key == "split_ratios":
-            val = None if val in (None, "auto") else tuple(int(v) for v in val)
-        elif isinstance(current, bool):
-            if isinstance(val, str):
-                val = val.lower() in ("1", "true", "yes", "on")
-            else:
-                val = bool(val)
-        elif isinstance(current, int) and not isinstance(val, bool):
-            val = int(val)
-        elif isinstance(current, float):
-            val = float(val)
-        elif isinstance(current, list):
-            if not isinstance(val, list):
-                raise UsageError(f"config: {key} expects a list, got {val!r}")
-            val = [int(v) for v in val]
+        try:
+            if key == "split_ratios":
+                val = None if val in (None, "auto") else tuple(int(v) for v in val)
+            elif isinstance(current, bool):
+                if isinstance(val, str):
+                    val = val.lower() in ("1", "true", "yes", "on")
+                else:
+                    val = bool(val)
+            elif isinstance(current, int) and not isinstance(val, bool):
+                val = int(val)
+            elif isinstance(current, float):
+                val = float(val)
+            elif isinstance(current, list):
+                if not isinstance(val, list):
+                    raise UsageError(f"config: {key} expects a list, got {val!r}")
+                val = [int(v) for v in val]
+        except (TypeError, ValueError):
+            raise UsageError(f"config: {key} cannot take the value {val!r}") from None
         setattr(cfg, key, val)
     return cfg.validate()
 

@@ -25,7 +25,6 @@ class Dataset:
     name: str
     values: np.ndarray              # (samples, channels)
     channel_names: "tuple[str, ...]" = ()
-    sample_rate: str = ""
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
@@ -205,8 +204,6 @@ class SynthSpec:
     motif_len: int = 12
     motif_rate: float = 0.02          # injections per channel per time step
     motif_amp: float = 3.0
-    motif_align: int = 1              # quantize onsets to this stride (1 = anywhere)
-    motif_weights: "list[float] | None" = None   # per-type injection odds (uniform if None)
     noise: float = 0.1
 
     def motif_library(self, rng: np.random.Generator) -> "list[np.ndarray]":
@@ -257,15 +254,11 @@ def synth_generate(spec: SynthSpec, seed: int) -> "tuple[Dataset, list[tuple[int
     if library and spec.motif_rate > 0.0:
         n_inject = int(round(spec.motif_rate * spec.length))
         longest = max(len(m) for m in library)
-        positions = np.arange(0, spec.length - longest, spec.motif_align)
-        weights = None
-        if spec.motif_weights is not None:
-            weights = np.asarray(spec.motif_weights, dtype=np.float64)
-            weights = weights / weights.sum()
+        positions = np.arange(0, spec.length - longest)
         for j in range(spec.channels):
             starts = rng.choice(positions, size=min(n_inject, len(positions)), replace=False)
             for start in np.sort(starts):
-                m = int(rng.choice(len(library), p=weights))
+                m = int(rng.choice(len(library)))
                 motif = library[m]
                 values[start:start + len(motif), j] += spec.motif_amp * motif
                 injections.append((j, int(start), m))

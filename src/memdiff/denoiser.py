@@ -49,14 +49,16 @@ def denoise_rows_backward(net: Mlp, trace, upstream: np.ndarray, horizon: int):
     return dx[:, :horizon], dx[:, horizon:2 * horizon]
 
 
-def denoise_predict(net: Mlp, y_k: np.ndarray, k: int, c_mix: np.ndarray,
-                    embed_dim: int) -> np.ndarray:
-    """Single-window x0 prediction: (H, N) blocks in, (H, N) prediction out."""
-    if y_k.shape != c_mix.shape:
-        raise DataError(f"noisy block {y_k.shape} != condition {c_mix.shape}")
-    n = y_k.shape[1]
-    emb = np.tile(step_embedding(k, embed_dim), (n, 1))
-    out, _ = denoise_rows(net, y_k.T, c_mix.T, emb)
+def denoise_predict(net: Mlp, y_k: np.ndarray, k_embed: np.ndarray,
+                    c: np.ndarray) -> np.ndarray:
+    """Single-window x0 prediction: (H, N) blocks in, (H, N) prediction out.
+
+    k_embed is the (E,) step embedding of y_k's step, shared by every channel.
+    """
+    if y_k.shape != c.shape:
+        raise DataError(f"noisy block {y_k.shape} != condition {c.shape}")
+    emb = k_embed[None, :].repeat(y_k.shape[1], axis=0)
+    out, _ = denoise_rows(net, y_k.T, c.T, emb)
     return out.T
 
 

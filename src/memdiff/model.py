@@ -24,7 +24,7 @@ from .config import TrainConfig
 from .episodic import EpisodicStore
 from .errors import DataError
 from .nn import Mlp, ParamStore
-from .schedule import make_schedule
+from .schedule import forward_sample, make_schedule
 from .semantic import SemanticMemory
 
 
@@ -66,8 +66,7 @@ class ForecastModel:
     def __init__(self, cfg: TrainConfig, rng: np.random.Generator):
         cfg.validate()
         self.cfg = cfg
-        dtype = np.float64 if cfg.precision == "double" else np.float32
-        self.params = ParamStore(dtype)
+        self.params = ParamStore()
         self.enc = Mlp(self.params, "encoder",
                        [cfg.lookback, *cfg.enc_hidden, cfg.latent_dim], "relu", rng)
         den_in = 2 * cfg.horizon + cfg.embed_dim
@@ -141,16 +140,13 @@ class ForecastModel:
         else:
             m_epi, epi_trace = np.zeros_like(h_rows), None
 
-        m, prior_trace = conditioning.memory_prior(
-            self.cp, m_sem, m_epi, sample=True, eps=draws.eps_prior)
+        m, prior_trace = conditioning.memory_prior(self.cp, m_sem, m_epi, eps=draws.eps_prior)
         head_queries = h_rows if self.query_bypass else np.zeros_like(h_rows)
         c_rows, head_trace = conditioning.condition_head(
-            self.cp, m, head_queries, sample=True, eps=draws.eps_cond)
+            self.cp, m, head_queries, eps=draws.eps_cond)
         c = self._rows_to_blocks(c_rows, batch)
-        c_mix = draws.mask * c + (1.0 - draws.mask) * batch_y
-
-        abar = self.sched.alpha_bar[draws.k - 1][:, None, None]
-        y_k = np.sqrt(abar) * batch_y + np.sqrt(1.0 - abar) * draws.eps_forward
+        c_mix = conditioning.future_mixup(c, batch_y, draws.mask)
+        y_k = forward_sample(batch_y, draws.k, draws.eps_forward, self.sched)
 
         embed_rows = np.repeat(self.step_table[draws.k - 1], cfg.n_channels, axis=0)
         y0_rows, den_trace = denoiser.denoise_rows(
@@ -194,9 +190,9 @@ class ForecastModel:
         m_sem = self.semantic.recall(h)[0] if self.semantic is not None else np.zeros_like(h)
         m_epi = (self.episodic.recall(h, update_freq=False)[0] if self.episodic is not None
                  else np.zeros_like(h))
-        m, _ = conditioning.memory_prior(self.cp, m_sem, m_epi, sample=False)
+        m, _ = conditioning.memory_prior(self.cp, m_sem, m_epi)
         head_queries = h if self.query_bypass else np.zeros_like(h)
-        c_rows, _ = conditioning.condition_head(self.cp, m, head_queries, sample=False)
+        c_rows, _ = conditioning.condition_head(self.cp, m, head_queries)
         return c_rows.T, h
 
     def forecast(self, x0: np.ndarray, rng: np.random.Generator,
@@ -206,9 +202,7 @@ class ForecastModel:
         c, _ = self.condition_for(x0)
 
         def predict(y_k, k):
-            embed_rows = self.step_table[k - 1:k].repeat(cfg.n_channels, axis=0)
-            y0_rows, _ = denoiser.denoise_rows(self.den, y_k.T, c.T, embed_rows)
-            return y0_rows.T
+            return denoiser.denoise_predict(self.den, y_k, self.step_table[k - 1], c)
 
         if cfg.ancestral:
             return denoiser.ddpm_sample(predict, cfg.horizon, cfg.n_channels, self.sched, rng)

@@ -49,10 +49,10 @@ class ParamStore:
     ``np.add.reduceat`` sums then start from 0 exactly as ``np.sum`` does,
     which keeps the global norm bit-identical to a per-tensor loop.
     Registering after the arena exists rebuilds it on the next use.
+    Everything is float64.
     """
 
-    def __init__(self, dtype=np.float64):
-        self.dtype = np.dtype(dtype)
+    def __init__(self):
         self._params: "dict[str, ParamTensor]" = {}
         self._values: "np.ndarray | None" = None
         self._grad: "np.ndarray | None" = None
@@ -63,7 +63,7 @@ class ParamStore:
     def register(self, id: str, values: np.ndarray) -> ParamTensor:
         if id in self._params:
             raise InvariantError(f"duplicate parameter id {id!r}")
-        p = ParamTensor(id, np.asarray(values, dtype=self.dtype))
+        p = ParamTensor(id, np.asarray(values, dtype=np.float64))
         self._params[id] = p
         self._values = self._grad = None
         return p
@@ -87,8 +87,8 @@ class ParamStore:
             for p in self._params.values():
                 layout.append((p.id, n + 1, n + 1 + p.values.size, p.values.shape))
                 n += p.values.size + 1
-            values = np.zeros(n, dtype=self.dtype)
-            grad = np.zeros(n, dtype=self.dtype)
+            values = np.zeros(n)
+            grad = np.zeros(n)
             for p, (_, lo, hi, shape) in zip(self._params.values(), layout):
                 values[lo:hi] = p.values.reshape(-1)
                 grad[lo:hi] = p.grad.reshape(-1)
@@ -152,9 +152,9 @@ _ACTIVATIONS = {
 }
 
 
-def uniform_fan_in(rng: np.random.Generator, fan_in: int, shape, dtype=np.float64) -> np.ndarray:
+def uniform_fan_in(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     bound = 1.0 / np.sqrt(max(fan_in, 1))
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    return rng.uniform(-bound, bound, size=shape)
 
 
 class Mlp:
@@ -176,8 +176,8 @@ class Mlp:
         self.weights: "list[ParamTensor]" = []
         self.biases: "list[ParamTensor]" = []
         for i, (n_in, n_out) in enumerate(zip(widths[:-1], widths[1:])):
-            w = store.register(f"{prefix}/W{i}", uniform_fan_in(rng, n_in, (n_out, n_in), store.dtype))
-            b = store.register(f"{prefix}/b{i}", uniform_fan_in(rng, n_in, (n_out,), store.dtype))
+            w = store.register(f"{prefix}/W{i}", uniform_fan_in(rng, n_in, (n_out, n_in)))
+            b = store.register(f"{prefix}/b{i}", uniform_fan_in(rng, n_in, (n_out,)))
             self.weights.append(w)
             self.biases.append(b)
 
@@ -255,7 +255,7 @@ class Adam:
         size = params.arena()[0].size
         for which in ("m", "v"):
             moments = self._moments(which)
-            flat = np.zeros(size, dtype=params.dtype)
+            flat = np.zeros(size)
             for pid, lo, hi, _ in params.layout:
                 if pid in moments:
                     flat[lo:hi] = moments.pop(pid).reshape(-1)
@@ -272,8 +272,8 @@ class Adam:
             raise NumericError(f"non-finite gradient in parameter {bad!r}")
         if self._layout is not params.layout:
             self._adopt(params)
-        if self._scratch is None or self._scratch.dtype != values.dtype:
-            self._scratch = np.empty((2, ADAM_CHUNK), dtype=values.dtype)
+        if self._scratch is None:
+            self._scratch = np.empty((2, ADAM_CHUNK))
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
@@ -315,13 +315,6 @@ class Adam:
                 prefix = f"adam/{which}/"
                 if name.startswith(prefix):
                     self._loose[which][name[len(prefix):]] = arr.copy()
-
-
-def adam_step(params: ParamStore, lr: float, betas, eps: float, t: int):
-    """Single functional Adam update at step count t (first step: t = 1)."""
-    opt = Adam(lr=lr, betas=betas, eps=eps)
-    opt.t = t - 1
-    opt.step(params)
 
 
 @dataclass

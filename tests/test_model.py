@@ -134,8 +134,8 @@ class TestConditionRouting:
         h, _ = __import__("memdiff.conditioning", fromlist=["encode"]).encode(model.enc, x0)
         m_sem, _ = model.semantic.recall(h)
         from memdiff.conditioning import condition_head, memory_prior
-        m, _ = memory_prior(model.cp, m_sem, np.zeros_like(m_sem), sample=False)
-        c_manual, _ = condition_head(model.cp, m, np.zeros_like(h), sample=False)
+        m, _ = memory_prior(model.cp, m_sem, np.zeros_like(m_sem))
+        c_manual, _ = condition_head(model.cp, m, np.zeros_like(h))
         np.testing.assert_array_equal(c1, c_manual.T)
 
     def test_memory_only_routing_gradcheck(self, rng):
@@ -239,12 +239,6 @@ class TestTrainerBehavior:
         clone = tiny_trainer(epochs=2, checkpoint_every=1)
         meta = clone.load_checkpoint(path)
         assert meta["step"] == clone.step_count > 0
-
-    def test_single_precision_flag(self):
-        trainer = tiny_trainer(precision="single", epochs=1, synth_length=300)
-        trainer.fit()
-        assert next(iter(trainer.model.params)).values.dtype == np.float32
-        assert np.isfinite(trainer.evaluate("test").mae)
 
     def test_checkpoints_byte_identical_across_runs(self, tmp_path):
         payloads = []

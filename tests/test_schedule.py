@@ -12,7 +12,7 @@ def bayes_posterior(x0, xk, k, sched):
     """Independent oracle: product of the two scalar Gaussian kernels.
 
     q(x^{k-1} | x^k, x^0) ~ N(x^k; sqrt(a_k) x^{k-1}, b_k) * N(x^{k-1}; sqrt(abar_{k-1}) x^0, 1 - abar_{k-1})
-    combined by precision addition.
+    combined by adding their inverse variances.
     """
     a_k = sched.alpha[k - 1]
     b_k = sched.beta[k - 1]
@@ -98,6 +98,28 @@ class TestForwardSample:
             rng = np.random.default_rng(123)
             outs.append(forward_sample(np.ones((4, 3)), 7, rng.standard_normal((4, 3)), s))
         np.testing.assert_array_equal(outs[0], outs[1])
+
+    def test_per_sample_steps_match_scalar_calls(self):
+        s = make_schedule(10)
+        rng = np.random.default_rng(5)
+        x0 = rng.standard_normal((16, 6, 3))
+        noise = rng.standard_normal((16, 6, 3))
+        k = rng.integers(1, 11, size=16)
+        out = forward_sample(x0, k, noise, s)
+        want = np.stack([forward_sample(x0[b], int(k[b]), noise[b], s) for b in range(16)])
+        np.testing.assert_array_equal(out, want)
+
+    @pytest.mark.parametrize("k", [0, 11, -1, [3, 0, 5], [1, 10, 11], [11, 0, 2]])
+    def test_out_of_range_step_rejected(self, k):
+        s = make_schedule(10)
+        shape = np.shape(k) + (4, 2)
+        with pytest.raises(InvariantError, match="outside 1..10"):
+            forward_sample(np.zeros(shape), k, np.zeros(shape), s)
+
+    def test_step_shape_mismatch(self):
+        s = make_schedule(10)
+        with pytest.raises(DataError):
+            forward_sample(np.zeros((3, 4, 2)), np.array([1, 2]), np.zeros((3, 4, 2)), s)
 
     @pytest.mark.slow
     def test_monte_carlo_composition_all_k(self):
