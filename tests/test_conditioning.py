@@ -196,6 +196,11 @@ class TestFutureMixup:
         hi = np.maximum(self.c, self.y0)
         assert np.all(c_mix >= lo - 1e-12) and np.all(c_mix <= hi + 1e-12)
 
+    def test_missing_mask_rejected(self):
+        # training always mixes, so the mask is a required argument
+        with pytest.raises(TypeError):
+            future_mixup(self.c, self.y0)
+
     def test_misshapen_mask_or_target_rejected(self):
         with pytest.raises(DataError):
             future_mixup(self.c, self.y0, np.zeros((5, 2)))

@@ -217,8 +217,9 @@ class TestParamArena:
         for pid, vals in before.items():
             np.testing.assert_array_equal(store[pid].values, vals)
 
+    @pytest.mark.parametrize("dtype", [np.float64], ids=["double"])
     @pytest.mark.parametrize("chunk", [7, nn.ADAM_CHUNK])
-    def test_adam_matches_per_tensor_reference(self, chunk, monkeypatch):
+    def test_adam_matches_per_tensor_reference(self, chunk, dtype, monkeypatch):
         monkeypatch.setattr(nn, "ADAM_CHUNK", chunk)
         store = ForecastModel(tiny_config(), np.random.default_rng(0)).params
         rng = np.random.default_rng(1)
@@ -231,18 +232,20 @@ class TestParamArena:
             opt.step(store)
         state = opt.state_arrays()
         for p in store:
-            assert p.values.dtype == np.float64
+            assert p.values.dtype == dtype
             np.testing.assert_array_equal(p.values, want[p.id])
             np.testing.assert_array_equal(state[f"adam/m/{p.id}"], want_m[p.id])
             np.testing.assert_array_equal(state[f"adam/v/{p.id}"], want_v[p.id])
 
-    def test_clip_returns_the_per_tensor_sum(self):
+    @pytest.mark.parametrize("dtype", [np.float64])
+    def test_clip_returns_the_per_tensor_sum(self, dtype):
         rng = np.random.default_rng(4)
         store = ParamStore()
         for i, shape in enumerate([(3,), (8,), (24, 32), (129,), (1,), (64, 40), (17, 3)]):
             store.register(f"p{i}", rng.standard_normal(shape))
         for p in store:
             p.grad[...] = rng.standard_normal(p.shape) * rng.uniform(0.1, 3.0)
+            assert p.grad.dtype == dtype
         grads = {p.id: p.grad.copy() for p in store}
         sq = 0.0
         for g in grads.values():

@@ -179,7 +179,7 @@ class TestLosses:
 
 
 class TestUpdateDynamics:
-    def test_one_adam_update_moves_nearest_block(self):
+    def test_one_adam_step_moves_nearest_block(self):
         # gradient must reach the blocks through both recall and the losses
         from memdiff import Adam
         store, mem = make_memory(3, 4, seed=13)
