@@ -7,6 +7,7 @@ to a few-step conditional denoising diffusion model that predicts a
 horizon block from a lookback block.
 """
 
+from .attention import cosine_score
 from .config import TrainConfig, load_config
 from .data import ChannelStats, Dataset, SeriesWindow, SynthSpec, load_csv, split, synth_generate, windows
 from .denoiser import ddim_sample, ddpm_sample, ddpm_step, denoise_predict, step_embedding
@@ -15,7 +16,7 @@ from .errors import DataError, InvariantError, MemdiffError, NumericError, Usage
 from .model import ForecastModel, StepDraws, draw_step_randomness
 from .nn import Adam, GradCheckReport, Mlp, ParamStore, ParamTensor, finite_diff_check
 from .schedule import NoiseSchedule, forward_sample, make_schedule, posterior_mean_var
-from .semantic import SemanticMemory, cosine_score
+from .semantic import SemanticMemory
 from .trainer import PreparedData, Trainer, grid_search, mae, mse, prepare
 
 __version__ = "0.1.0"

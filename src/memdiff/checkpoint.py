@@ -137,3 +137,20 @@ def require(arrays: "dict[str, np.ndarray]", name: str) -> np.ndarray:
     except KeyError:
         raise DataError(f"checkpoint has no array {name!r} "
                         "(written under another config?)") from None
+
+
+def counter(arrays: "dict[str, np.ndarray]", name: str) -> int:
+    """arrays[name] as a count; anything but one nonnegative integer raises DataError."""
+    values = require(arrays, name)
+    if values.shape != (1,) or values.dtype.kind not in "iu" or values[0] < 0:
+        raise DataError(f"checkpoint array {name!r} ({values.dtype}, shape {values.shape}) "
+                        "is not one nonnegative integer")
+    return int(values[0])
+
+
+def refuse_extra(arrays: "dict[str, np.ndarray]", prefix: str, own):
+    """Raise DataError naming every array under prefix whose name is not in own."""
+    extra = sorted(name for name in arrays if name.startswith(prefix) and name not in own)
+    if extra:
+        raise DataError(f"checkpoint holds arrays this model does not: "
+                        f"{', '.join(map(repr, extra))} (written under another config?)")

@@ -108,6 +108,9 @@ class TrainConfig:
             raise UsageError("config: queue_size must not exceed episodic_size")
         if self.alpha1 < 0 or self.alpha2 < 0:
             raise UsageError("config: alpha1/alpha2 must be nonnegative")
+        if not 0.0 < self.beta_min <= self.beta_max < 1.0:   # also rejects nan
+            raise UsageError(f"config: need 0 < beta_min <= beta_max < 1, "
+                             f"got ({self.beta_min}, {self.beta_max})")
         if self.embed_dim % 2:
             raise UsageError("config: embed_dim must be even")
         if not 1 <= self.substeps <= self.diffusion_steps:
@@ -133,20 +136,9 @@ class TrainConfig:
         return (3, 1, 2) if self.dataset.upper().startswith("ETT") else (7, 1, 2)
 
 
-_SECTIONS = {
-    "data": ["dataset", "csv_path", "split_ratios", "missing_policy",
-             "stride_train", "stride_eval"],
-    "model": ["lookback", "horizon", "n_channels", "latent_dim", "enc_hidden",
-              "den_hidden", "embed_dim", "log_var_init"],
-    "diffusion": ["diffusion_steps", "schedule_kind", "beta_min", "beta_max",
-                  "substeps", "ancestral"],
-    "memory": ["use_semantic", "use_episodic", "shared_memory", "condition_uses_query",
-               "semantic_size", "episodic_size", "queue_size", "recall_top_k", "margin"],
-    "train": ["alpha1", "alpha2", "lr", "batch_size", "epochs", "max_steps",
-              "grad_clip", "checkpoint_every", "patience"],
-    "run": ["seed", "threads", "out_dir"],
-    "synth": ["synth_length", "synth_channels", "synth_noise", "synth_motif_rate"],
-}
+# section name keyed by its first field; TrainConfig declares fields in section order
+_SECTIONS = {"dataset": "data", "lookback": "model", "diffusion_steps": "diffusion",
+             "use_semantic": "memory", "alpha1": "train", "seed": "run", "synth_length": "synth"}
 
 _FIELD_NAMES = {f.name for f in dataclasses.fields(TrainConfig)}
 
@@ -178,6 +170,13 @@ def parse_config_text(text: str) -> "dict[str, object]":
     return values
 
 
+def _as_int(val) -> int:
+    """val as an int; a boolean or fractional value raises ValueError."""
+    if isinstance(val, bool) or (isinstance(val, float) and not val.is_integer()):
+        raise ValueError(val)
+    return int(val)
+
+
 def load_config(path: "str | None", overrides: "list[str] | None" = None) -> TrainConfig:
     """Build a TrainConfig from an optional file plus key=value overrides."""
     values: "dict[str, object]" = {}
@@ -200,20 +199,20 @@ def load_config(path: "str | None", overrides: "list[str] | None" = None) -> Tra
         current = getattr(cfg, key)
         try:
             if key == "split_ratios":
-                val = None if val in (None, "auto") else tuple(int(v) for v in val)
+                val = None if val in (None, "auto") else tuple(_as_int(v) for v in val)
             elif isinstance(current, bool):
                 if isinstance(val, str):
                     val = val.lower() in ("1", "true", "yes", "on")
                 else:
                     val = bool(val)
-            elif isinstance(current, int) and not isinstance(val, bool):
-                val = int(val)
+            elif isinstance(current, int):
+                val = _as_int(val)
             elif isinstance(current, float):
                 val = float(val)
             elif isinstance(current, list):
                 if not isinstance(val, list):
                     raise UsageError(f"config: {key} expects a list, got {val!r}")
-                val = [int(v) for v in val]
+                val = [_as_int(v) for v in val]
         except (TypeError, ValueError):
             raise UsageError(f"config: {key} cannot take the value {val!r}") from None
         setattr(cfg, key, val)
@@ -223,14 +222,16 @@ def load_config(path: "str | None", overrides: "list[str] | None" = None) -> Tra
 def resolved_text(cfg: TrainConfig) -> str:
     """All fields materialized, in the same parseable format."""
     lines = []
-    for section, keys in _SECTIONS.items():
-        lines.append(f"[{section}]")
-        for key in keys:
-            val = getattr(cfg, key)
-            if isinstance(val, tuple):
-                val = list(val)
-            lines.append(f"{key} = {json.dumps(val)}")
-        lines.append("")
+    for f in dataclasses.fields(TrainConfig):
+        if f.name in _SECTIONS:
+            if lines:
+                lines.append("")
+            lines.append(f"[{_SECTIONS[f.name]}]")
+        val = getattr(cfg, f.name)
+        if isinstance(val, tuple):
+            val = list(val)
+        lines.append(f"{f.name} = {json.dumps(val)}")
+    lines.append("")
     return "\n".join(lines)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attention
-from .checkpoint import require
+from .checkpoint import counter, require
 from .errors import DataError, InvariantError
 
 
@@ -255,20 +255,18 @@ class EpisodicStore:
             if len(pats) > limit:
                 raise DataError(f"{prefix}/{part} holds {len(pats)} records, capacity {limit}")
             parts.append((pats, attention.l2_norms(pats), freqs, births))
-        counter = require(arrays, f"{prefix}/birth_counter")
-        if counter.shape != (1,):
-            raise DataError(f"{prefix}/birth_counter is shaped {counter.shape}, expected (1,)")
+        birth = counter(arrays, f"{prefix}/birth_counter")
         entries, queue = parts
         if len(queue[0]) and len(entries[0]) < self.capacity:
             raise DataError(f"{prefix}/queue holds records while main slots are free")
-        return entries, queue, int(counter[0])
+        return entries, queue, birth
 
     def load_state_arrays(self, arrays: "dict[str, np.ndarray]", prefix: str = "episodic"):
         """Restore a state_arrays dict; a missing or misshapen array, or groups
         that disagree on their record counts or birth counter, raise DataError."""
         names = [prefix.format(g) for g in range(self.groups)]
         groups = [self._read_group(arrays, name) for name in names]
-        sizes = {(len(e[0]), len(q[0]), counter) for e, q, counter in groups}
+        sizes = {(len(e[0]), len(q[0]), birth) for e, q, birth in groups}
         if len(sizes) > 1:
             raise DataError(f"{', '.join(names)} disagree on (entries, queued, birth counter): "
                             f"{sorted(sizes)}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conditioning, denoiser
-from .checkpoint import require
+from .checkpoint import refuse_extra
 from .config import TrainConfig
 from .episodic import EpisodicStore
 from .errors import DataError
@@ -221,7 +221,7 @@ class ForecastModel:
     # -- persistence ---------------------------------------------------------
 
     def state_arrays(self) -> "dict[str, np.ndarray]":
-        arrays = {f"param/{p.id}": p.values for p in self.params}
+        arrays = self.params.named("param/")
         if self.episodic is not None:
             arrays.update(self.episodic.state_arrays("episodic/{}"))
         return arrays
@@ -233,18 +233,8 @@ class ForecastModel:
         this model does not hold (a checkpoint of another config) raises
         DataError before anything is written.
         """
-        stored = [require(arrays, f"param/{p.id}") for p in self.params]
-        for p, values in zip(self.params, stored):
-            if values.shape != p.values.shape:
-                raise DataError(f"checkpoint shape {values.shape} != {p.values.shape} "
-                                f"for parameter {p.id!r}")
-        own = self.state_arrays()
-        extra = sorted(name for name in arrays
-                       if name.startswith(("param/", "episodic/")) and name not in own)
-        if extra:
-            raise DataError(f"checkpoint holds arrays this model does not: "
-                            f"{', '.join(map(repr, extra))} (written under another config?)")
+        write_params = self.params.reader(arrays, "param/")
+        refuse_extra(arrays, "episodic/", self.state_arrays())
         if self.episodic is not None:
             self.episodic.load_state_arrays(arrays, "episodic/{}")
-        for p, values in zip(self.params, stored):
-            p.values[...] = values
+        write_params()

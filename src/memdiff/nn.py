@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import counter, refuse_extra, require
 from .errors import DataError, InvariantError, NumericError
 
 # Adam updates the arena this many coordinates at a time, so its scratch
@@ -34,45 +35,42 @@ class ParamTensor:
     def shape(self):
         return self.values.shape
 
-    def __repr__(self):
-        return f"ParamTensor({self.id!r}, shape={self.values.shape})"
-
 
 class ParamStore:
     """Ordered registry of ParamTensors, keyed by stable id.
 
-    Values and gradients live in two contiguous arena vectors, built on
-    first use (``arena``, which zero_grads, clip_global_norm and Adam call);
-    from then on every ParamTensor's ``values`` / ``grad`` is a reshaped
-    view into them, so whole-model passes are single vector operations.
-    Each tensor is preceded by one arena slot that stays zero: per-tensor
-    ``np.add.reduceat`` sums then start from 0 exactly as ``np.sum`` does,
-    which keeps the global norm bit-identical to a per-tensor loop.
-    Registering after the arena exists rebuilds it on the next use.
-    Everything is float64.
+    ``layout`` fixes each tensor's (id, start, stop, shape) in a flat vector
+    of ``size`` coordinates at registration; ``named`` and ``reader`` turn
+    it into per-id checkpoint arrays. On first use (``arena``) values and
+    gradients move into two such vectors and every ParamTensor becomes a
+    view into them. Each tensor is preceded by one slot that stays zero, so
+    per-tensor ``np.add.reduceat`` sums start from 0 as ``np.sum`` does and
+    the global norm stays bit-identical to a per-tensor loop. Registering
+    once the arena or a vector laid out like it (``zeros``) exists raises
+    InvariantError. Everything is float64.
     """
 
     def __init__(self):
         self._params: "dict[str, ParamTensor]" = {}
-        self._values: "np.ndarray | None" = None
-        self._grad: "np.ndarray | None" = None
+        self._values = self._grad = None   # the arena, once built
         self._pads = np.zeros(0, dtype=np.intp)   # arena index of each zero slot
-        # (id, start, stop, shape) per tensor, in registration order
-        self.layout: "tuple[tuple[str, int, int, tuple], ...]" = ()
+        self._final = False
+        self.layout: "list[tuple[str, int, int, tuple]]" = []
+        self.size = 0
 
     def register(self, id: str, values: np.ndarray) -> ParamTensor:
+        if self._final:
+            raise InvariantError(f"cannot register {id!r}: the parameter layout is in use")
         if id in self._params:
             raise InvariantError(f"duplicate parameter id {id!r}")
         p = ParamTensor(id, np.asarray(values, dtype=np.float64))
         self._params[id] = p
-        self._values = self._grad = None
+        self.layout.append((id, self.size + 1, self.size + 1 + p.values.size, p.values.shape))
+        self.size += 1 + p.values.size
         return p
 
     def __getitem__(self, id: str) -> ParamTensor:
         return self._params[id]
-
-    def __contains__(self, id: str) -> bool:
-        return id in self._params
 
     def __iter__(self):
         return iter(self._params.values())
@@ -80,28 +78,44 @@ class ParamStore:
     def __len__(self):
         return len(self._params)
 
+    def zeros(self) -> np.ndarray:
+        """A zero vector laid out like the arena; the layout is final from then on."""
+        self._final = True
+        return np.zeros(self.size)
+
     def arena(self) -> "tuple[np.ndarray, np.ndarray]":
         """The contiguous (values, grad) vectors every ParamTensor views into."""
         if self._values is None:
-            layout, n = [], 0
-            for p in self._params.values():
-                layout.append((p.id, n + 1, n + 1 + p.values.size, p.values.shape))
-                n += p.values.size + 1
-            values = np.zeros(n)
-            grad = np.zeros(n)
-            for p, (_, lo, hi, shape) in zip(self._params.values(), layout):
+            values, grad = self.zeros(), self.zeros()
+            for p, (_, lo, hi, shape) in zip(self, self.layout):
                 values[lo:hi] = p.values.reshape(-1)
                 grad[lo:hi] = p.grad.reshape(-1)
                 p.values = values[lo:hi].reshape(shape)
                 p.grad = grad[lo:hi].reshape(shape)
             self._values, self._grad = values, grad
-            self._pads = np.array([lo - 1 for _, lo, _, _ in layout], dtype=np.intp)
-            self.layout = tuple(layout)
+            self._pads = np.array([lo - 1 for _, lo, _, _ in self.layout], dtype=np.intp)
         return self._values, self._grad
 
-    def id_at(self, index: int) -> str:
-        """Id of the tensor holding arena coordinate ``index``."""
-        return self.layout[int(np.searchsorted(self._pads, index, side="right")) - 1][0]
+    def named(self, prefix: str, flat: "np.ndarray | None" = None) -> "dict[str, np.ndarray]":
+        """{prefix + id: that tensor's values, or its slice of flat (laid out like the arena)}."""
+        if flat is None:
+            return {prefix + p.id: p.values for p in self}
+        return {prefix + pid: flat[lo:hi].reshape(shape) for pid, lo, hi, shape in self.layout}
+
+    def reader(self, arrays: "dict[str, np.ndarray]", prefix: str):
+        """Check a checkpoint's ``named(prefix)`` arrays (DataError if one is missing,
+        misshapen or extra); return write(flat=None), copying them to the tensors or flat."""
+        own = self.named(prefix)
+        for name, view in own.items():
+            if require(arrays, name).shape != view.shape:
+                raise DataError(f"checkpoint shape {arrays[name].shape} != {view.shape} "
+                                f"for parameter {name[len(prefix):]!r} in {name!r}")
+        refuse_extra(arrays, prefix, own)
+
+        def write(flat: "np.ndarray | None" = None):
+            for name, view in self.named(prefix, flat).items():
+                view[...] = arrays[name]
+        return write
 
     def zero_grads(self):
         self.arena()[1].fill(0.0)
@@ -148,7 +162,6 @@ def _silu_grad(z, s):
 _ACTIVATIONS = {
     "relu": (lambda z: (np.maximum(z, 0.0), None), lambda z, _: (z > 0.0).astype(z.dtype)),
     "silu": (_silu, _silu_grad),
-    "identity": (lambda z: (z, None), lambda z, _: np.ones_like(z)),
 }
 
 
@@ -223,55 +236,30 @@ class Mlp:
 
 
 class Adam:
-    """Adam with bias correction over a ParamStore's arena.
+    """Adam with bias correction over the arena of the ParamStore it is built on.
 
-    The moments ``m`` and ``v`` are flat vectors laid out like the arena
-    of the store last stepped. Checkpoints keep them per parameter id
-    (``adam/m/<id>``, ``adam/v/<id>``); moments that are not laid out yet
-    (freshly loaded, or of ids the current store lacks) wait in ``_loose``.
-    """
+    The moments ``m`` and ``v`` are laid out like that arena from the first
+    step or load on; checkpoints hold them per id (``adam/m/<id>``,
+    ``adam/v/<id>``) once t > 0."""
 
-    def __init__(self, lr: float = 1e-3, betas=(0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params: ParamStore, lr: float = 1e-3, betas=(0.9, 0.999),
+                 eps: float = 1e-8):
+        self.params = params
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.t = 0
-        self.m: "np.ndarray | None" = None
-        self.v: "np.ndarray | None" = None
-        self._layout: "tuple | None" = None
-        self._loose: "dict[str, dict[str, np.ndarray]]" = {"m": {}, "v": {}}
-        self._scratch: "np.ndarray | None" = None
+        self.m = self.v = self._scratch = None
 
-    def _moments(self, which: str) -> "dict[str, np.ndarray]":
-        """Per-id arrays of moment ``which``: views into the flat state plus the loose ones."""
-        flat = getattr(self, which)
-        out = {} if flat is None else {
-            pid: flat[lo:hi].reshape(shape) for pid, lo, hi, shape in self._layout}
-        out.update(self._loose[which])
-        return out
-
-    def _adopt(self, params: ParamStore):
-        """Lay the moments out like params' arena, keeping every id's state."""
-        size = params.arena()[0].size
-        for which in ("m", "v"):
-            moments = self._moments(which)
-            flat = np.zeros(size)
-            for pid, lo, hi, _ in params.layout:
-                if pid in moments:
-                    flat[lo:hi] = moments.pop(pid).reshape(-1)
-            setattr(self, which, flat)
-            self._loose[which] = moments
-        self._layout = params.layout
-
-    def step(self, params: ParamStore):
+    def step(self):
         """One in-place update. Aborts (no mutation) on a non-finite gradient."""
-        values, grad = params.arena()
+        values, grad = self.params.arena()
         finite = np.isfinite(grad)
         if not finite.all():
-            bad = params.id_at(int(np.argmin(finite)))
+            bad = next(pid for pid, lo, hi, _ in self.params.layout if not finite[lo:hi].all())
             raise NumericError(f"non-finite gradient in parameter {bad!r}")
-        if self._layout is not params.layout:
-            self._adopt(params)
+        if self.m is None:
+            self.m, self.v = self.params.zeros(), self.params.zeros()
         if self._scratch is None:
             self._scratch = np.empty((2, ADAM_CHUNK))
         self.t += 1
@@ -301,20 +289,26 @@ class Adam:
 
     def state_arrays(self) -> "dict[str, np.ndarray]":
         out = {"adam/t": np.array([self.t], dtype=np.int64)}
-        for which in ("m", "v"):
-            for pid, arr in self._moments(which).items():
-                out[f"adam/{which}/{pid}"] = arr
+        if self.t:
+            out.update(self.params.named("adam/m/", self.m))
+            out.update(self.params.named("adam/v/", self.v))
         return out
 
     def load_state_arrays(self, arrays: "dict[str, np.ndarray]"):
-        self.t = int(arrays["adam/t"][0])
-        self.m = self.v = self._layout = None
-        self._loose = {"m": {}, "v": {}}
-        for name, arr in arrays.items():
-            for which in ("m", "v"):
-                prefix = f"adam/{which}/"
-                if name.startswith(prefix):
-                    self._loose[which][name[len(prefix):]] = arr.copy()
+        """Restore t and, when t > 0, every moment; a refused state raises
+        DataError before anything is written."""
+        t = counter(arrays, "adam/t")
+        if not t:
+            refuse_extra(arrays, "adam/", {"adam/t"})
+            self.m = self.v = None
+        else:
+            write_m = self.params.reader(arrays, "adam/m/")
+            write_v = self.params.reader(arrays, "adam/v/")
+            if self.m is None:
+                self.m, self.v = self.params.zeros(), self.params.zeros()
+            write_m(self.m)
+            write_v(self.v)
+        self.t = t
 
 
 @dataclass

@@ -20,8 +20,6 @@ from .nn import ParamTensor
 
 REJITTER_NORM = 1e-8
 
-cosine_score = attention.cosine_score
-
 
 @dataclass
 class SemanticRecallTrace:

@@ -103,7 +103,7 @@ class Trainer:
         self._train_rng = np.random.default_rng(seeds[1])
         self._shuffle_rng = np.random.default_rng(seeds[2])
         self._eval_seed = seeds[3]
-        self.opt = Adam(lr=cfg.lr)
+        self.opt = Adam(self.model.params, lr=cfg.lr)
         self.step_count = 0
         self.incidents: "list[str]" = []
         self.history: "list[StepResult]" = []
@@ -126,7 +126,7 @@ class Trainer:
             return self._abort(result, f"non-finite total loss {out.total}")
         result.grad_norm = self.model.params.clip_global_norm(cfg.grad_clip)
         try:
-            self.opt.step(self.model.params)
+            self.opt.step()
         except NumericError as exc:
             return self._abort(result, str(exc))
         if self.model.semantic is not None:
@@ -243,10 +243,10 @@ class Trainer:
 
     def load_checkpoint(self, path: str):
         arrays, meta = checkpoint.load(path)
+        step = checkpoint.counter(arrays, "trainer/step")
         self.model.load_state_arrays(arrays)
-        if "adam/t" in arrays:
-            self.opt.load_state_arrays(arrays)
-        self.step_count = int(checkpoint.require(arrays, "trainer/step")[0])
+        self.opt.load_state_arrays(arrays)
+        self.step_count = step
         return meta
 
 

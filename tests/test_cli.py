@@ -79,6 +79,12 @@ class TestConfig:
                               for k, v in reparsed.items()})
         assert config_hash(cfg) == config_hash(cfg2)
 
+    def test_integral_values_convert_to_int(self):
+        cfg = load_config(None, ["epochs=2.0", "batch_size=4", "enc_hidden=[8.0]",
+                                 "split_ratios=[7.0, 1, 2]"])
+        assert (cfg.epochs, cfg.batch_size, cfg.enc_hidden, cfg.split_ratios) == (2, 4, [8], (7, 1, 2))
+        assert all(type(v) is int for v in (cfg.epochs, *cfg.enc_hidden, *cfg.split_ratios))
+
     def test_ratios_default_by_dataset(self):
         assert TrainConfig(dataset="ETTh1").ratios() == (3, 1, 2)
         assert TrainConfig(dataset="weather").ratios() == (7, 1, 2)
@@ -213,6 +219,28 @@ class TestCliCommands:
         assert err["error"] == "DataError" and err["exit_code"] == 2
         assert message in err["message"]
 
+    @pytest.mark.parametrize("change,message", [
+        ({"adam/t": np.zeros(0, dtype=np.int64)}, "'adam/t'"),
+        ({"trainer/step": np.zeros(0, dtype=np.int64)}, "'trainer/step'"),
+        ({"adam/m/ghost": np.ones(3), "adam/v/ghost": np.ones(3)}, "does not: 'adam/m/ghost'"),
+        ({"adam/m/encoder/b0": np.ones(3)}, "(3,) != (8,) for parameter 'encoder/b0'"),
+    ], ids=["empty-adam-t", "empty-trainer-step", "ghost-moments", "misshapen-moment"])
+    def test_malformed_optimizer_or_step_state_is_data_error(self, tmp_path, tiny_cfg_file,
+                                                             capsys, change, message):
+        from memdiff import checkpoint
+        out = str(tmp_path / "run")
+        assert run(["train", "--config", tiny_cfg_file, "--out", out, "--seed", "1"]) == 0
+        ckpt = os.path.join(out, "checkpoint.bin")
+        arrays, meta = checkpoint.load(ckpt)
+        checkpoint.save(ckpt, {**arrays, **change}, meta)
+        capsys.readouterr()
+        assert run(["evaluate", "--config", tiny_cfg_file, "--out", out, "--seed", "1"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "DataError" and err["exit_code"] == 2
+        assert message in err["message"]
+
     @pytest.mark.parametrize("setting,message", [
         ("checkpoint_every=0", "checkpoint_every must be positive, got 0"),
         ("grad_clip=0", "grad_clip must be positive, got 0.0"),
@@ -231,6 +259,16 @@ class TestCliCommands:
         ("epochs=abc", "epochs cannot take the value 'abc'"),
         ("enc_hidden=[\"a\"]", "enc_hidden cannot take the value ['a']"),
         ("split_ratios=5", "split_ratios cannot take the value 5"),
+        ("beta_max=1.5", "need 0 < beta_min <= beta_max < 1, got (0.05, 1.5)"),
+        ("beta_min=0", "need 0 < beta_min <= beta_max < 1, got (0.0, 0.55)"),
+        ("beta_min=0.6", "need 0 < beta_min <= beta_max < 1, got (0.6, 0.55)"),
+        ("beta_max=nan", "need 0 < beta_min <= beta_max < 1, got (0.05, nan)"),
+        ("epochs=1.5", "epochs cannot take the value 1.5"),
+        ("batch_size=2.9", "batch_size cannot take the value 2.9"),
+        ("epochs=true", "epochs cannot take the value True"),
+        ("enc_hidden=[8.5]", "enc_hidden cannot take the value [8.5]"),
+        ("den_hidden=[16,true]", "den_hidden cannot take the value [16, True]"),
+        ("split_ratios=[7,1.5,2]", "split_ratios cannot take the value [7, 1.5, 2]"),
     ])
     def test_invalid_config_value_is_usage_error(self, tmp_path, tiny_cfg_file, capsys,
                                                  setting, message):

@@ -117,20 +117,20 @@ class TestAdam:
     def test_zero_grad_no_motion(self):
         store, _ = make_net([3, 2])
         before = store.snapshot()
-        opt = Adam(lr=0.1)
+        opt = Adam(store, lr=0.1)
         store.zero_grads()
-        opt.step(store)
+        opt.step()
         for pid, vals in before.items():
             np.testing.assert_array_equal(store[pid].values, vals)
 
     def test_constant_gradient_monotone(self):
         store = ParamStore()
         p = store.register("p", np.array([0.0]))
-        opt = Adam(lr=0.01)
+        opt = Adam(store, lr=0.01)
         prev = 0.0
         for _ in range(50):
             p.grad[...] = 1.0
-            opt.step(store)
+            opt.step()
             assert p.values[0] < prev
             prev = p.values[0]
 
@@ -139,8 +139,8 @@ class TestAdam:
         store = ParamStore()
         p = store.register("p", np.array([0.0]))
         p.grad[...] = 1.0
-        opt = Adam(lr=0.1, betas=(0.9, 0.999), eps=1e-8)
-        opt.step(store)
+        opt = Adam(store, lr=0.1, betas=(0.9, 0.999), eps=1e-8)
+        opt.step()
         assert opt.t == 1
         np.testing.assert_allclose(p.values[0], -0.1, rtol=1e-7)
 
@@ -150,23 +150,23 @@ class TestAdam:
         b = store.register("bad/one", np.zeros(2))
         a.grad[...] = 1.0
         b.grad[...] = np.array([1.0, np.nan])
-        opt = Adam()
+        opt = Adam(store)
         with pytest.raises(NumericError, match="bad/one"):
-            opt.step(store)
+            opt.step()
         np.testing.assert_array_equal(a.values, 0.0)  # nothing applied
 
     def test_determinism_across_runs(self):
         results = []
         for _ in range(2):
             store, net = make_net([3, 4, 2], seed=9)
-            opt = Adam(lr=1e-3)
+            opt = Adam(store, lr=1e-3)
             rng = np.random.default_rng(77)
             for _ in range(20):
                 store.zero_grads()
                 x = rng.standard_normal((4, 3))
                 y, trace = net.forward(x)
                 net.backward(trace, 2 * y)
-                opt.step(store)
+                opt.step()
             results.append(store.snapshot())
         for pid in results[0]:
             np.testing.assert_array_equal(results[0][pid], results[1][pid])
@@ -225,11 +225,11 @@ class TestParamArena:
         rng = np.random.default_rng(1)
         steps = [random_grads(store, rng, scale=10.0 ** -i) for i in range(6)]
         want, want_m, want_v = reference_adam(store.snapshot(), steps, lr=0.01)
-        opt = Adam(lr=0.01)
+        opt = Adam(store, lr=0.01)
         for grads in steps:
             for p in store:
                 p.grad[...] = grads[p.id]
-            opt.step(store)
+            opt.step()
         state = opt.state_arrays()
         for p in store:
             assert p.values.dtype == dtype
@@ -269,15 +269,15 @@ class TestParamArena:
     def test_nonfinite_gradient_names_tensor_and_mutates_nothing(self):
         store, _ = make_net([3, 4, 4, 2], seed=1)
         rng = np.random.default_rng(2)
-        opt = Adam(lr=0.1)
+        opt = Adam(store, lr=0.1)
         for p in store:
             p.grad[...] = rng.standard_normal(p.shape)
-        opt.step(store)
+        opt.step()
         before = store.snapshot()
         state = {k: a.copy() for k, a in opt.state_arrays().items()}
         store["net/W1"].grad[2, 1] = np.inf
         with pytest.raises(NumericError, match="'net/W1'"):
-            opt.step(store)
+            opt.step()
         for pid, vals in before.items():
             np.testing.assert_array_equal(store[pid].values, vals)
         after = opt.state_arrays()
@@ -285,43 +285,44 @@ class TestParamArena:
         for k in state:
             np.testing.assert_array_equal(after[k], state[k])
 
-    def test_register_after_a_step(self):
-        store = ParamStore()
-        a = store.register("a", np.arange(3.0))
-        opt = Adam(lr=0.1)
-        rng = np.random.default_rng(5)
-        g1 = {"a": rng.standard_normal(3)}
-        g2 = {"a": rng.standard_normal(3), "b": rng.standard_normal((2, 2))}
-        a.grad[...] = g1["a"]
-        opt.step(store)
-        b = store.register("b", np.ones((2, 2)))
-        for k, g in g2.items():
-            store[k].grad[...] = g
-        opt.step(store)
-        want, want_m, _ = reference_adam({"a": np.arange(3.0), "b": np.ones((2, 2))},
-                                         [g1, g2], lr=0.1)
-        # the tensors handed out by register are the ones that moved
-        np.testing.assert_array_equal(a.values, want["a"])
-        np.testing.assert_array_equal(b.values, want["b"])
-        np.testing.assert_array_equal(opt.state_arrays()["adam/m/a"], want_m["a"])
-        assert np.shares_memory(a.values, store.arena()[0])
-        assert np.shares_memory(b.grad, store.arena()[1])
+    def test_register_after_the_arena_exists_is_refused(self):
+        store, _ = make_net([3, 2])
+        store.arena()
+        with pytest.raises(InvariantError, match="'late'"):
+            store.register("late", np.ones(2))
+        assert len(store) == 2 and [pid for pid, *_ in store.layout] == ["net/W0", "net/b0"]
+
+    def test_register_after_loading_moments_is_refused(self):
+        store, _ = make_net([3, 2])
+        opt = Adam(store)
+        state = {"adam/t": np.array([1], dtype=np.int64)}
+        for which in ("m", "v"):
+            state.update({f"adam/{which}/{p.id}": np.ones(p.shape) for p in store})
+        opt.load_state_arrays(state)
+        with pytest.raises(InvariantError, match="'late'"):
+            store.register("late", np.ones(2))
 
 
 class TestAdamCheckpointFormat:
     def test_fresh_state_has_no_moments(self):
-        arrays = Adam().state_arrays()
+        arrays = Adam(make_net([3, 2])[0]).state_arrays()
         assert list(arrays) == ["adam/t"] and arrays["adam/t"][0] == 0
 
     def test_t0_without_moments_loads_and_steps_like_fresh(self):
         stores = [make_net([3, 4, 2], seed=6)[0] for _ in range(2)]
-        loaded = Adam(lr=0.05)
+        loaded, fresh = (Adam(store, lr=0.05) for store in stores)
+        start = stores[0].snapshot()
+        for p in stores[0]:
+            p.grad[...] = 1.0
+        loaded.step()   # leaves moments that loading t = 0 must clear
+        for pid, vals in start.items():
+            stores[0][pid].values[...] = vals
         loaded.load_state_arrays({"adam/t": np.array([0], dtype=np.int64)})
         assert set(loaded.state_arrays()) == {"adam/t"}
-        for store, opt in zip(stores, (loaded, Adam(lr=0.05))):
+        for store, opt in zip(stores, (loaded, fresh)):
             for p in store:
                 p.grad[...] = 0.5
-            opt.step(store)
+            opt.step()
         for pid, vals in stores[0].snapshot().items():
             np.testing.assert_array_equal(vals, stores[1][pid].values)
 
@@ -335,7 +336,7 @@ class TestAdamCheckpointFormat:
         arrays.update({f"adam/v/{k}": a for k, a in v.items()})
         path = str(tmp_path / "adam.bin")
         checkpoint.save(path, arrays)
-        opt = Adam(lr=0.01)
+        opt = Adam(store, lr=0.01)
         opt.load_state_arrays(checkpoint.load(path)[0])
         state = opt.state_arrays()
         assert set(state) == set(arrays)
@@ -346,7 +347,7 @@ class TestAdamCheckpointFormat:
                                               m=m, v=v, t=3)
         for p in store:
             p.grad[...] = grads[p.id]
-        opt.step(store)
+        opt.step()
         state = opt.state_arrays()
         assert state["adam/t"][0] == 4 and len(state) == len(arrays)
         for p in store:
@@ -354,16 +355,52 @@ class TestAdamCheckpointFormat:
             np.testing.assert_array_equal(state[f"adam/m/{p.id}"], want_m[p.id])
             np.testing.assert_array_equal(state[f"adam/v/{p.id}"], want_v[p.id])
 
-    def test_moments_of_absent_ids_are_kept(self):
-        store, _ = make_net([2, 2], seed=0)
-        opt = Adam()
-        opt.load_state_arrays({"adam/t": np.array([1], dtype=np.int64),
-                               "adam/m/gone": np.ones(3), "adam/v/gone": np.ones(3)})
-        store.zero_grads()
-        opt.step(store)
-        state = opt.state_arrays()
-        np.testing.assert_array_equal(state["adam/m/gone"], np.ones(3))
-        assert {f"adam/m/{p.id}" for p in store} <= set(state)
+    @staticmethod
+    def stepped(seed=0):
+        """An Adam two steps in, and a copy of its state arrays."""
+        store, _ = make_net([3, 4, 2], seed=seed)
+        opt = Adam(store, lr=0.01)
+        rng = np.random.default_rng(seed)
+        for _ in range(2):
+            for p in store:
+                p.grad[...] = rng.standard_normal(p.shape)
+            opt.step()
+        return opt, {k: a.copy() for k, a in opt.state_arrays().items()}
+
+    @pytest.mark.parametrize("change,message", [
+        ({"adam/m/net/W1": np.ones(3)}, r"\(3,\) != \(2, 4\) for parameter 'net/W1'"),
+        ({"adam/v/net/b0": np.ones((1, 4))}, r"\(1, 4\) != \(4,\) for parameter 'net/b0'"),
+        ({"adam/v/net/W0": None}, "no array 'adam/v/net/W0'"),
+        ({"adam/m/ghost": np.ones(3), "adam/v/ghost": np.ones(3)},
+         "does not: 'adam/m/ghost'"),
+        ({"adam/t": np.zeros(0, dtype=np.int64)}, "'adam/t'"),
+        ({"adam/t": np.array([1, 2], dtype=np.int64)}, "'adam/t'"),
+        ({"adam/t": np.array([2.0])}, "'adam/t'"),
+        ({"adam/t": np.array([-1], dtype=np.int64)}, "'adam/t'"),
+        ({"adam/t": np.array([0], dtype=np.int64)}, "does not: 'adam/m/net/W0'"),
+        ({"adam/t": None}, "no array 'adam/t'"),
+    ], ids=["short-m", "wide-v", "missing-v", "ghost", "empty-t", "two-t", "float-t",
+            "negative-t", "moments-at-t0", "missing-t"])
+    def test_refused_state_is_data_error_and_writes_nothing(self, change, message):
+        _, arrays = self.stepped(seed=1)
+        for name, arr in change.items():
+            if arr is None:
+                del arrays[name]
+            else:
+                arrays[name] = arr
+        opt, state = self.stepped()
+        m, v = opt.m, opt.v
+        with pytest.raises(DataError, match=message):
+            opt.load_state_arrays(arrays)
+        assert opt.t == 2 and opt.m is m and opt.v is v
+        after = opt.state_arrays()
+        assert set(after) == set(state)
+        for k in state:
+            np.testing.assert_array_equal(after[k], state[k])
+        fresh = Adam(make_net([3, 4, 2])[0])
+        with pytest.raises(DataError, match=message):
+            fresh.load_state_arrays(arrays)
+        assert fresh.t == 0 and fresh.m is None and fresh.v is None
 
 
 class TestFiniteDiffCheck:

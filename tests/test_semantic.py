@@ -190,7 +190,7 @@ class TestUpdateDynamics:
         mem.recall_backward(trace, np.ones_like(out))
         _, _, ltrace = mem.losses(trace, margin=1.0)
         mem.losses_backward(ltrace, 1.0, 1.0)
-        Adam(lr=0.01).step(store)
+        Adam(store, lr=0.01).step()
         nearest = ltrace.nearest[0]
         assert not np.allclose(store["semantic/blocks"].values[nearest], before[nearest])
 
