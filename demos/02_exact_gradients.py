@@ -27,11 +27,11 @@ draws = draw_step_randomness(rng, cfg, 2)
 
 
 def loss():
-    return model.loss(batch_x, batch_y, draws, compute_grad=False, count_freq=False).total
+    return model.loss(batch_x, batch_y, draws, compute_grad=False).total
 
 
 model.params.zero_grads()
-out = model.loss(batch_x, batch_y, draws, count_freq=False)
+out = model.loss(batch_x, batch_y, draws)
 print(f"total loss {out.total:.6f} = condition {out.condition:.6f} "
       f"+ a1*{out.l1:.6f} + a2*{out.l2:.6f}")
 

@@ -43,10 +43,11 @@ show(epi, "fill 2 (p3 p4)")
 epi.update(np.stack([pat[5], pat[6]]))
 show(epi, "steady (p5 p6 -> queue)")
 
-# recalls decide who survives the next eviction
+# counted recalls decide who survives the next eviction
 for target, times in ((2, 2), (3, 1), (5, 1)):
     for _ in range(times):
-        epi.recall(pat[target][None, :])
+        _, trace = epi.recall(pat[target][None, :])
+        epi.count(trace)
 show(epi, "after forced recalls")
 
 epi.update(np.stack([pat[7], pat[8]]))

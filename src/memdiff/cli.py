@@ -64,14 +64,10 @@ def build_parser() -> _Parser:
 
 def _resolve_config(args) -> TrainConfig:
     cfg = load_config(args.config, args.overrides)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.threads is not None:
-        cfg.threads = args.threads
-    if args.substeps is not None:
-        cfg.substeps = args.substeps
+    for key, value in (("seed", args.seed), ("out_dir", args.out), ("threads", args.threads),
+                       ("substeps", args.substeps)):
+        if value is not None:
+            setattr(cfg, key, value)
     cfg.validate()
     if cfg.threads != 1:
         try:
@@ -226,19 +222,10 @@ def run(argv: "list[str] | None" = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = _resolve_config(args)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg)
-        if args.command == "forecast":
-            return cmd_forecast(cfg)
         if args.command == "ablate":
             return cmd_ablate(cfg, args.variants)
-        if args.command == "export-scores":
-            return cmd_export_scores(cfg)
-        if args.command == "synth":
-            return cmd_synth(cfg)
-        raise UsageError(f"unknown command {args.command!r}")
+        return {"train": cmd_train, "evaluate": cmd_evaluate, "forecast": cmd_forecast,
+                "export-scores": cmd_export_scores, "synth": cmd_synth}[args.command](cfg)
     except MemdiffError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc),
                           "exit_code": exc.exit_code}), file=sys.stderr)

@@ -174,14 +174,8 @@ def windows(segment: np.ndarray, lookback: int, horizon: int, stride: int = 1):
     if n < span:
         raise DataError(f"segment of {n} rows cannot fit lookback {lookback} "
                         f"+ horizon {horizon}")
-    out = []
-    for start in range(0, n - span + 1, stride):
-        out.append(SeriesWindow(
-            lookback=segment[start:start + lookback],
-            horizon=segment[start + lookback:start + span],
-            origin=start,
-        ))
-    return out
+    return [SeriesWindow(segment[s:s + lookback], segment[s + lookback:s + span], origin=s)
+            for s in range(0, n - span + 1, stride)]
 
 
 @dataclass

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DataError, InvariantError
 from .nn import Mlp
-from .schedule import NoiseSchedule, posterior_coefficients
+from .schedule import NoiseSchedule, posterior_mean_var
 
 
 def step_embedding(k: int, dim: int) -> np.ndarray:
@@ -66,14 +66,13 @@ def ddpm_step(y_k: np.ndarray, k: int, y0_hat: np.ndarray, sched: NoiseSchedule,
               noise: "np.ndarray | None") -> np.ndarray:
     """One ancestral reverse step toward k-1.
 
-    Mean reuses the forward-posterior coefficients with the prediction in
-    place of the clean signal; noise is scaled by sqrt(beta_tilde_k) and
-    omitted entirely at the final step (where beta_tilde_1 = 0 anyway).
+    The mean is the forward-posterior mean with the prediction in place of
+    the clean signal; noise is scaled by sqrt(beta_tilde_k) and omitted
+    entirely at the final step (where beta_tilde_1 = 0 anyway).
     """
-    coef_yk, coef_y0 = posterior_coefficients(k, sched)
-    out = coef_yk * y_k + coef_y0 * y0_hat
+    out, var = posterior_mean_var(y0_hat, y_k, k, sched)
     if k > 1 and noise is not None:
-        out = out + np.sqrt(sched.beta_tilde[k - 1]) * noise
+        out = out + np.sqrt(var) * noise
     return out
 
 

@@ -2,12 +2,13 @@
 or per channel.
 
 Patterns are frozen snapshots of per-channel query vectors taken from the
-hardest sample of a batch. Recall is top-k cosine attention over every
-live record (main slots and the candidate queue), counting how often each
-record is recalled. Updates follow a frequency-based eviction scheme with
-a circular candidate queue: new patterns enter at the queue head and only
-face eviction after transiting to the tail, which protects fresh patterns
-from the low-frequency churn that would otherwise replace them at once.
+hardest sample of a batch. Recall is read-only top-k cosine attention over
+every live record (main slots and the candidate queue); ``count`` adds a
+recall's picks to the recall frequencies. Updates follow a frequency-based
+eviction scheme with a circular candidate queue: new patterns enter at the
+queue head and only face eviction after transiting to the tail, which
+protects fresh patterns from the low-frequency churn that would otherwise
+replace them at once.
 """
 
 from __future__ import annotations
@@ -135,14 +136,12 @@ class EpisodicStore:
             return np.zeros((queries.shape[0], 0))
         return attention.ungroup_rows(self._cosine(attention.group_rows(queries, self.groups))[0])
 
-    def recall(self, queries: np.ndarray, update_freq: bool = True
-               ) -> "tuple[np.ndarray, EpisodicRecallTrace | None]":
+    def recall(self, queries: np.ndarray) -> "tuple[np.ndarray, EpisodicRecallTrace | None]":
         """Weighted sum of the top-k most similar records of each query row's group.
 
         Ties between equal scores go to the lower record index. An empty
-        store recalls the zero vector. Each recalled record's freq is
-        incremented once per query row unless update_freq is off (the
-        gradient checker re-evaluates the loss without counting).
+        store recalls the zero vector (and no trace). Recall reads the
+        store only; ``count`` commits its picks to the frequencies.
         """
         queries = np.atleast_2d(queries)
         if self.is_empty:
@@ -153,14 +152,19 @@ class EpisodicStore:
         idx, sel_scores = attention.top_k(scores.reshape(-1, n), min(self.recall_top_k, n))
         weights, z = attention.clamp_normalize(sel_scores)
         flat = (idx.reshape(self.groups, -1) + self._base).reshape(idx.shape)
-        patterns, norms, freqs, _ = self._flat
+        patterns, norms, _, _ = self._flat
         gathered = patterns[flat]                          # (G*R', K, d)
         out = np.einsum("rk,rkd->rd", weights, gathered)
-        if update_freq:
-            freqs += np.bincount(flat.ravel(), minlength=freqs.size)
         trace = EpisodicRecallTrace(grouped.reshape(-1, self.dim), idx, gathered, sel_scores,
                                     weights, z, nq.ravel(), norms[flat])
         return attention.ungroup_rows(out.reshape(self.groups, -1, self.dim)), trace
+
+    def count(self, trace: "EpisodicRecallTrace | None"):
+        """Increment each record's freq once per query row of trace that picked it."""
+        if trace is not None:
+            freqs = self._flat[2]
+            freqs += np.bincount((trace.idx.reshape(self.groups, -1) + self._base).ravel(),
+                                 minlength=freqs.size)
 
     def recall_backward(self, trace: "EpisodicRecallTrace | None", upstream: np.ndarray) -> np.ndarray:
         """Gradient w.r.t. the queries. Stored patterns are constants."""
@@ -261,21 +265,28 @@ class EpisodicStore:
             raise DataError(f"{prefix}/queue holds records while main slots are free")
         return entries, queue, birth
 
-    def load_state_arrays(self, arrays: "dict[str, np.ndarray]", prefix: str = "episodic"):
-        """Restore a state_arrays dict; a missing or misshapen array, or groups
-        that disagree on their record counts or birth counter, raise DataError."""
+    def reader(self, arrays: "dict[str, np.ndarray]", prefix: str = "episodic"):
+        """Check a state_arrays dict (DataError for a missing or misshapen array, or groups
+        that disagree on record counts or birth counter); return write(), which restores it."""
         names = [prefix.format(g) for g in range(self.groups)]
         groups = [self._read_group(arrays, name) for name in names]
         sizes = {(len(e[0]), len(q[0]), birth) for e, q, birth in groups}
         if len(sizes) > 1:
             raise DataError(f"{', '.join(names)} disagree on (entries, queued, birth counter): "
                             f"{sorted(sizes)}")
-        (self._n_main, self._n_queue, self._birth), = sizes
-        for g, (entries, queue, _) in enumerate(groups):
-            for col, stored in zip(self._columns, entries):
-                col[g, :self._n_main] = stored
-            for col, stored in zip(self._columns, queue):
-                col[g, self._n_main:self._n_main + self._n_queue] = stored
+
+        def write():
+            (self._n_main, self._n_queue, self._birth), = sizes
+            for g, (entries, queue, _) in enumerate(groups):
+                for col, stored in zip(self._columns, entries):
+                    col[g, :self._n_main] = stored
+                for col, stored in zip(self._columns, queue):
+                    col[g, self._n_main:self._n_main + self._n_queue] = stored
+        return write
+
+    def load_state_arrays(self, arrays: "dict[str, np.ndarray]", prefix: str = "episodic"):
+        """Restore a state_arrays dict; a refused one raises DataError and writes nothing."""
+        self.reader(arrays, prefix)()
 
 
 def select_special(batch_losses: np.ndarray, batch_queries: np.ndarray) -> "np.ndarray | None":

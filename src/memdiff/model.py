@@ -21,7 +21,7 @@ import numpy as np
 from . import conditioning, denoiser
 from .checkpoint import refuse_extra
 from .config import TrainConfig
-from .episodic import EpisodicStore
+from .episodic import EpisodicRecallTrace, EpisodicStore
 from .errors import DataError
 from .nn import Mlp, ParamStore
 from .schedule import forward_sample, make_schedule
@@ -58,6 +58,7 @@ class LossBreakdown:
     l2: float
     per_sample_condition: np.ndarray   # (B,)
     queries: np.ndarray                # (B, N, d) for episodic selection
+    episodic_trace: "EpisodicRecallTrace | None"   # the recall the step commits by counting
 
 
 class ForecastModel:
@@ -108,13 +109,35 @@ class ForecastModel:
         n = self.cfg.n_channels
         return rows.reshape(batch, n, -1).transpose(0, 2, 1)
 
+    def condition_rows(self, h_rows: np.ndarray, eps_prior: "np.ndarray | None" = None,
+                       eps_cond: "np.ndarray | None" = None):
+        """Condition rows (R, H) for query rows (R, d): both recalls, the prior and the head.
+
+        The prior and the head are sampled with the given noise, or take
+        their means without it, as at inference. An absent memory recalls
+        zeros. Returns (c_rows, (sem_trace, epi_trace, prior_trace, head_trace)).
+        """
+        if self.semantic is not None:
+            m_sem, sem_trace = self.semantic.recall(h_rows)
+        else:
+            m_sem, sem_trace = np.zeros_like(h_rows), None
+        if self.episodic is not None:
+            m_epi, epi_trace = self.episodic.recall(h_rows)
+        else:
+            m_epi, epi_trace = np.zeros_like(h_rows), None
+        m, prior_trace = conditioning.memory_prior(self.cp, m_sem, m_epi, eps=eps_prior)
+        head_queries = h_rows if self.query_bypass else np.zeros_like(h_rows)
+        c_rows, head_trace = conditioning.condition_head(self.cp, m, head_queries, eps=eps_cond)
+        return c_rows, (sem_trace, epi_trace, prior_trace, head_trace)
+
     def loss(self, batch_x: np.ndarray, batch_y: np.ndarray, draws: StepDraws,
-             compute_grad: bool = True, count_freq: bool = True) -> LossBreakdown:
+             compute_grad: bool = True) -> LossBreakdown:
         """Total training objective; optionally accumulates exact gradients.
 
         batch_x: (B, L, N) lookbacks, batch_y: (B, H, N) horizons, already
         normalized. Gradients are ADDED to the parameter buffers; the
-        caller zeroes them at the start of the step.
+        caller zeroes them at the start of the step. The memories are only
+        read: the caller commits the episodic recall (EpisodicStore.count).
         """
         cfg = self.cfg
         batch = batch_x.shape[0]
@@ -128,22 +151,12 @@ class ForecastModel:
         x_rows = self._channel_rows(batch_x)
         y_rows = self._channel_rows(batch_y)
         h_rows, enc_trace = conditioning.encode_rows(self.enc, x_rows)
-
+        c_rows, (sem_trace, epi_trace, prior_trace, head_trace) = self.condition_rows(
+            h_rows, draws.eps_prior, draws.eps_cond)
         if self.semantic is not None:
-            m_sem, sem_trace = self.semantic.recall(h_rows)
             l1_sum, l2_sum, loss_trace = self.semantic.losses(sem_trace, cfg.margin)
         else:
-            m_sem, sem_trace, loss_trace = np.zeros_like(h_rows), None, None
             l1_sum = l2_sum = 0.0
-        if self.episodic is not None:
-            m_epi, epi_trace = self.episodic.recall(h_rows, update_freq=count_freq)
-        else:
-            m_epi, epi_trace = np.zeros_like(h_rows), None
-
-        m, prior_trace = conditioning.memory_prior(self.cp, m_sem, m_epi, eps=draws.eps_prior)
-        head_queries = h_rows if self.query_bypass else np.zeros_like(h_rows)
-        c_rows, head_trace = conditioning.condition_head(
-            self.cp, m, head_queries, eps=draws.eps_cond)
         c = self._rows_to_blocks(c_rows, batch)
         c_mix = conditioning.future_mixup(c, batch_y, draws.mask)
         y_k = forward_sample(batch_y, draws.k, draws.eps_forward, self.sched)
@@ -180,19 +193,14 @@ class ForecastModel:
             self.enc.backward(enc_trace, d_h)
 
         queries = h_rows.reshape(batch, cfg.n_channels, cfg.latent_dim)
-        return LossBreakdown(total, l_cond, l1, l2, per_sample, queries)
+        return LossBreakdown(total, l_cond, l1, l2, per_sample, queries, epi_trace)
 
     # -- inference ----------------------------------------------------------
 
     def condition_for(self, x0: np.ndarray):
         """Deterministic inference-time condition (H, N) plus the queries."""
         h, _ = conditioning.encode(self.enc, x0)
-        m_sem = self.semantic.recall(h)[0] if self.semantic is not None else np.zeros_like(h)
-        m_epi = (self.episodic.recall(h, update_freq=False)[0] if self.episodic is not None
-                 else np.zeros_like(h))
-        m, _ = conditioning.memory_prior(self.cp, m_sem, m_epi)
-        head_queries = h if self.query_bypass else np.zeros_like(h)
-        c_rows, _ = conditioning.condition_head(self.cp, m, head_queries)
+        c_rows, _ = self.condition_rows(h)
         return c_rows.T, h
 
     def forecast(self, x0: np.ndarray, rng: np.random.Generator,
@@ -226,15 +234,15 @@ class ForecastModel:
             arrays.update(self.episodic.state_arrays("episodic/{}"))
         return arrays
 
-    def load_state_arrays(self, arrays: "dict[str, np.ndarray]"):
-        """Restore parameters and episodic state.
-
-        A parameter or episodic array that is missing, misshapen, or that
-        this model does not hold (a checkpoint of another config) raises
-        DataError before anything is written.
-        """
-        write_params = self.params.reader(arrays, "param/")
+    def reader(self, arrays: "dict[str, np.ndarray]"):
+        """Check parameters and episodic state; return write(), which restores them. An
+        array that is missing, misshapen or of another config raises DataError here."""
+        writes = [self.params.reader(arrays, "param/")]
         refuse_extra(arrays, "episodic/", self.state_arrays())
         if self.episodic is not None:
-            self.episodic.load_state_arrays(arrays, "episodic/{}")
-        write_params()
+            writes.append(self.episodic.reader(arrays, "episodic/{}"))
+
+        def write():
+            for part in writes:
+                part()
+        return write

@@ -198,10 +198,6 @@ class Mlp:
     def in_width(self) -> int:
         return self.widths[0]
 
-    @property
-    def out_width(self) -> int:
-        return self.widths[-1]
-
     def forward(self, x: np.ndarray) -> "tuple[np.ndarray, list]":
         """x: (n_items, in_width) -> (y: (n_items, out_width), trace)."""
         x = np.atleast_2d(np.asarray(x))
@@ -294,21 +290,30 @@ class Adam:
             out.update(self.params.named("adam/v/", self.v))
         return out
 
-    def load_state_arrays(self, arrays: "dict[str, np.ndarray]"):
-        """Restore t and, when t > 0, every moment; a refused state raises
-        DataError before anything is written."""
+    def reader(self, arrays: "dict[str, np.ndarray]"):
+        """Check a checkpoint's Adam state (DataError if refused); return write(),
+        which restores t and, when t > 0, every moment."""
         t = counter(arrays, "adam/t")
-        if not t:
-            refuse_extra(arrays, "adam/", {"adam/t"})
-            self.m = self.v = None
-        else:
+        if t:
             write_m = self.params.reader(arrays, "adam/m/")
             write_v = self.params.reader(arrays, "adam/v/")
-            if self.m is None:
-                self.m, self.v = self.params.zeros(), self.params.zeros()
-            write_m(self.m)
-            write_v(self.v)
-        self.t = t
+        else:
+            refuse_extra(arrays, "adam/", {"adam/t"})
+
+        def write():
+            if not t:
+                self.m = self.v = None
+            else:
+                if self.m is None:
+                    self.m, self.v = self.params.zeros(), self.params.zeros()
+                write_m(self.m)
+                write_v(self.v)
+            self.t = t
+        return write
+
+    def load_state_arrays(self, arrays: "dict[str, np.ndarray]"):
+        """Restore a state_arrays dict; a refused one raises DataError and writes nothing."""
+        self.reader(arrays)()
 
 
 @dataclass
@@ -317,7 +322,6 @@ class GradCheckReport:
     tolerance: float
     n_checked: int
     worst_param: str = ""
-    worst_index: int = -1
     per_param: "dict[str, float]" = field(default_factory=dict)
 
     @property
@@ -370,6 +374,5 @@ def finite_diff_check(
             if rel > report.max_rel_error:
                 report.max_rel_error = rel
                 report.worst_param = p.id
-                report.worst_index = int(i)
         report.per_param[p.id] = worst
     return report

@@ -52,14 +52,10 @@ class NoiseSchedule:
         # beta_tilde_k = (1 - abar_{k-1}) / (1 - abar_k) * beta_k, abar_0 = 1
         abar_prev = np.concatenate(([1.0], alpha_bar[:-1]))
         beta_tilde = (1.0 - abar_prev) / (1.0 - alpha_bar) * beta
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "alpha_bar", alpha_bar)
-        object.__setattr__(self, "beta_tilde", beta_tilde)
-        beta.setflags(write=False)
-        alpha.setflags(write=False)
-        alpha_bar.setflags(write=False)
-        beta_tilde.setflags(write=False)
+        for name, table in (("beta", beta), ("alpha", alpha), ("alpha_bar", alpha_bar),
+                            ("beta_tilde", beta_tilde)):
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
 
     @property
     def steps(self) -> int:

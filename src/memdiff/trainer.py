@@ -1,8 +1,8 @@
 """Training orchestration, evaluation, and hyperparameter grid search.
 
 One training step: freeze the step's randomness, run the loss forward and
-exact backward, clip the global gradient norm, apply Adam, then hand the
-hardest sample's channel queries to the episodic store. All random
+exact backward, clip the global gradient norm, apply Adam, then commit the
+step's episodic recall counts and hardest sample to the store. All random
 streams are spawned from the single run seed, so identical config + seed
 reproduces identical parameters bit for bit.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,21 +26,23 @@ from .nn import Adam
 log = logging.getLogger("memdiff.trainer")
 
 
-def mae(truth: np.ndarray, pred: np.ndarray) -> float:
-    """Mean absolute error over all observed entries."""
-    truth, pred = np.asarray(truth), np.asarray(pred)
-    if truth.shape != pred.shape:
-        raise DataError(f"metric shapes differ: {truth.shape} vs {pred.shape}")
-    return float(np.mean(np.abs(truth - pred)))
-
-
-def mse(truth: np.ndarray, pred: np.ndarray) -> float:
-    """Mean squared error over all observed entries."""
+def error_sums(truth: np.ndarray, pred: np.ndarray) -> "tuple[float, float]":
+    """(sum of |truth - pred|, sum of (truth - pred)^2) over two same-shaped blocks."""
     truth, pred = np.asarray(truth), np.asarray(pred)
     if truth.shape != pred.shape:
         raise DataError(f"metric shapes differ: {truth.shape} vs {pred.shape}")
     diff = np.abs(truth - pred)
-    return float(np.mean(diff * diff))
+    return diff.sum(), (diff * diff).sum()
+
+
+def mae(truth: np.ndarray, pred: np.ndarray) -> float:
+    """Mean absolute error over all observed entries."""
+    return float(error_sums(truth, pred)[0] / np.size(truth))
+
+
+def mse(truth: np.ndarray, pred: np.ndarray) -> float:
+    """Mean squared error over all observed entries."""
+    return float(error_sums(truth, pred)[1] / np.size(truth))
 
 
 @dataclass
@@ -111,7 +113,8 @@ class Trainer:
     # -- single step -------------------------------------------------------
 
     def training_step(self, batch_x: np.ndarray, batch_y: np.ndarray) -> StepResult:
-        """One optimizer step over a normalized batch, then the episodic update."""
+        """One optimizer step over a normalized batch, then the episodic count and
+        update; a step that aborts changes neither parameters nor memory."""
         cfg = self.cfg
         self.model.params.zero_grads()
         draws = draw_step_randomness(self._train_rng, cfg, batch_x.shape[0])
@@ -132,6 +135,7 @@ class Trainer:
         if self.model.semantic is not None:
             self.model.semantic.rejitter(self._train_rng)
         if self.model.episodic is not None:
+            self.model.episodic.count(out.episodic_trace)
             # Hardness is the denoising term only; the compactness losses
             # say nothing about which sample the predictor found hard.
             pattern = select_special(out.per_sample_condition, out.queries)
@@ -216,20 +220,15 @@ class Trainer:
             raise DataError(f"empty {which} split")
         rng = np.random.default_rng(self._eval_seed)
         stats = self.data.stats
-        abs_sum = sq_sum = abs_raw = sq_raw = 0.0
+        sums = np.zeros(4)   # absolute and squared error, normalized then raw
         count = 0
         for win in wins:
             pred = self.model.forecast(win.lookback, rng, substeps)
-            diff = np.abs(win.horizon - pred)
-            abs_sum += diff.sum()
-            sq_sum += (diff * diff).sum()
-            raw_diff = np.abs(stats.denormalize(win.horizon) - stats.denormalize(pred))
-            abs_raw += raw_diff.sum()
-            sq_raw += (raw_diff * raw_diff).sum()
-            count += diff.size
-        return EvalResult(mae=abs_sum / count, mse=sq_sum / count,
-                          mae_raw=abs_raw / count, mse_raw=sq_raw / count,
-                          n_windows=len(wins))
+            sums += (*error_sums(win.horizon, pred),
+                     *error_sums(stats.denormalize(win.horizon), stats.denormalize(pred)))
+            count += pred.size
+        mae_norm, mse_norm, mae_raw, mse_raw = sums / count
+        return EvalResult(mae_norm, mse_norm, mae_raw, mse_raw, n_windows=len(wins))
 
     # -- persistence -------------------------------------------------------------
 
@@ -242,10 +241,12 @@ class Trainer:
         checkpoint.save(path, arrays, meta)
 
     def load_checkpoint(self, path: str):
+        """Restore model, optimizer and step count; a refused checkpoint raises
+        DataError before any of them is written."""
         arrays, meta = checkpoint.load(path)
         step = checkpoint.counter(arrays, "trainer/step")
-        self.model.load_state_arrays(arrays)
-        self.opt.load_state_arrays(arrays)
+        for write in [self.model.reader(arrays), self.opt.reader(arrays)]:
+            write()
         self.step_count = step
         return meta
 

@@ -88,11 +88,10 @@ def test_criterion_3_gradient_exactness_tiny_config():
     draws = draw_step_randomness(rng, cfg, 2)
 
     def loss():
-        return model.loss(batch_x, batch_y, draws, compute_grad=False,
-                          count_freq=False).total
+        return model.loss(batch_x, batch_y, draws, compute_grad=False).total
 
     model.params.zero_grads()
-    model.loss(batch_x, batch_y, draws, count_freq=False)
+    model.loss(batch_x, batch_y, draws)
     rep = finite_diff_check(loss, model.params, tolerance=1e-4, h=1e-5)
     elapsed = time.perf_counter() - started
     report(3, rep.passed and elapsed < 60.0,
@@ -117,7 +116,7 @@ def test_criterion_4_attention_normalization():
         epi.update(rng.standard_normal((2, 4)))
     queries = rng.standard_normal((1000, 4))
     _, sem_trace = sem.recall(queries)
-    _, epi_trace = epi.recall(queries, update_freq=False)
+    _, epi_trace = epi.recall(queries)
     ok &= bool(np.all(sem_trace.weights >= 0.0))
     ok &= bool(np.max(np.abs(sem_trace.weights.sum(axis=1) - 1.0)) < 1e-6)
     ok &= bool(np.all(epi_trace.weights >= 0.0))
@@ -143,7 +142,7 @@ def test_criterion_5_algorithm_oracle_and_fuzz():
     ok.append(np.array_equal(store.queue[0].pattern, p[5]))
     for target, times in ((2, 2), (3, 1), (5, 1)):
         for _ in range(times):
-            store.recall(p[target][None, :])
+            store.count(store.recall(p[target][None, :])[1])
     store.update(np.stack([p[7], p[8]]))
     ok += [np.array_equal(r.pattern, p[i]) for r, i in zip(store.entries, (2, 3, 5, 1))]
     ok += [np.array_equal(store.queue[0].pattern, p[7]),
@@ -161,7 +160,7 @@ def test_criterion_5_algorithm_oracle_and_fuzz():
     fuzz_ok = True
     for _ in range(10_000):
         if rng.random() < 0.5:
-            fuzz.recall(rng.standard_normal((2, 3)))
+            fuzz.count(fuzz.recall(rng.standard_normal((2, 3)))[1])
         else:
             pats = rng.standard_normal((k, 3))
             fuzz.update(pats)

@@ -25,7 +25,8 @@ class TestRecall:
     def test_single_entry_returned_and_counted(self):
         store = EpisodicStore(dim=2, capacity=4, queue_capacity=2)
         store.update(unit(30)[None, :])
-        out, _ = store.recall(np.array([[1.0, 0.0]]))
+        out, trace = store.recall(np.array([[1.0, 0.0]]))
+        store.count(trace)
         np.testing.assert_allclose(out[0], unit(30), atol=1e-12)
         assert store.entries[0].freq == 1
 
@@ -36,6 +37,7 @@ class TestRecall:
         store.update(np.stack(pats[:2]))
         store.update(pats[2][None, :])
         out, trace = store.recall(np.array([[1.0, 0.0]]))
+        store.count(trace)
         np.testing.assert_allclose(trace.scores[0], [0.9, 0.5], atol=1e-12)
         w = np.array([0.9 + WEIGHT_EPS, 0.5 + WEIGHT_EPS]) / (1.4 + 2 * WEIGHT_EPS)
         np.testing.assert_allclose(trace.weights[0], w, rtol=1e-12)
@@ -52,8 +54,8 @@ class TestRecall:
         store = EpisodicStore(dim=2, capacity=4, queue_capacity=2, recall_top_k=2)
         store.update(np.stack([unit(15), unit(75)]))
         q = np.array([[0.8, 0.6]])
-        a, _ = store.recall(q, update_freq=False)
-        b, _ = store.recall(q, update_freq=False)
+        a, _ = store.recall(q)
+        b, _ = store.recall(q)
         np.testing.assert_array_equal(a, b)
         assert all(r.freq == 0 for r in store.entries)
 
@@ -64,7 +66,7 @@ class TestRecall:
             store.update(rng.standard_normal((2, 3)))
         q = rng.standard_normal((4, 3))
         g = rng.standard_normal((4, 3))
-        _, trace = store.recall(q, update_freq=False)
+        _, trace = store.recall(q)
         dq = store.recall_backward(trace, g)
         h = 1e-6
         for r in range(4):
@@ -72,9 +74,26 @@ class TestRecall:
                 qp, qm = q.copy(), q.copy()
                 qp[r, i] += h
                 qm[r, i] -= h
-                fd = (np.sum(store.recall(qp, update_freq=False)[0] * g)
-                      - np.sum(store.recall(qm, update_freq=False)[0] * g)) / (2 * h)
+                fd = (np.sum(store.recall(qp)[0] * g)
+                      - np.sum(store.recall(qm)[0] * g)) / (2 * h)
                 np.testing.assert_allclose(dq[r, i], fd, rtol=1e-5, atol=1e-9)
+
+    @pytest.mark.parametrize("groups", [1, 3])
+    def test_recall_leaves_state_unchanged(self, groups):
+        store = EpisodicStore(dim=3, capacity=4, queue_capacity=2, recall_top_k=2, groups=groups)
+        rng = np.random.default_rng(2)
+        for _ in range(4):
+            store.update(rng.standard_normal((2 * groups, 3)))
+            store.count(store.recall(rng.standard_normal((3 * groups, 3)))[1])
+        before = store.state_arrays("episodic/{}")
+        assert any(f.any() for key, f in before.items() if key.endswith("freqs"))
+        q = rng.standard_normal((2 * groups, 3))
+        q[0] = np.nan
+        store.recall(q)
+        after = store.state_arrays("episodic/{}")
+        assert before.keys() == after.keys()
+        for key in before:
+            np.testing.assert_array_equal(before[key], after[key], err_msg=key)
 
     def test_patterns_are_frozen(self):
         store = EpisodicStore(dim=2, capacity=2, queue_capacity=1)
@@ -120,7 +139,7 @@ class TestScriptedUpdateScenario:
         # forced recalls: p2 twice, p3 once, queued p5 once
         for target, times in ((2, 2), (3, 1), (5, 1)):
             for _ in range(times):
-                store.recall(p[target][None, :])
+                store.count(store.recall(p[target][None, :])[1])
         assert [r.freq for r in store.entries] == [0, 2, 1, 0]
         assert [r.freq for r in store.queue] == [1, 0]
 
@@ -137,7 +156,7 @@ class TestScriptedUpdateScenario:
         store.update(np.stack([a, b]))          # fill
         store.update(np.stack([unit(80), unit(120)]))   # queue them
         for q in (a, b):
-            store.recall(q[None, :])            # entries get freq 1
+            store.count(store.recall(q[None, :])[1])   # entries get freq 1
         store.update(np.stack([unit(160), unit(200)]))  # popped queue recs have freq 0
         np.testing.assert_array_equal(store.entries[0].pattern, a)
         np.testing.assert_array_equal(store.entries[1].pattern, b)
@@ -165,7 +184,7 @@ class TestUpdateEdges:
         rng = np.random.default_rng(1)
         for _ in range(4):
             store.update(rng.standard_normal((2, 2)))
-            store.recall(rng.standard_normal((3, 2)))
+            store.count(store.recall(rng.standard_normal((3, 2)))[1])
         arrays = store.state_arrays()
         clone = EpisodicStore(dim=2, capacity=4, queue_capacity=2, recall_top_k=2)
         clone.load_state_arrays(arrays)
@@ -179,22 +198,22 @@ class TestUpdateEdges:
     def test_recall_sees_every_update_and_load(self):
         store = EpisodicStore(dim=2, capacity=2, queue_capacity=1, recall_top_k=1)
         store.update(unit(0)[None])
-        out, _ = store.recall(unit(90)[None], update_freq=False)
+        out, _ = store.recall(unit(90)[None])
         np.testing.assert_allclose(out[0], unit(0))
         store.update(unit(90)[None])
-        out, _ = store.recall(unit(90)[None], update_freq=False)
+        out, _ = store.recall(unit(90)[None])
         np.testing.assert_allclose(out[0], unit(90))
         assert store.scores(unit(90)[None]).shape == (1, 2)
         other = EpisodicStore(dim=2, capacity=2, queue_capacity=1, recall_top_k=1)
         other.update(unit(180)[None])
         store.load_state_arrays(other.state_arrays())
-        out, _ = store.recall(unit(90)[None], update_freq=False)
+        out, _ = store.recall(unit(90)[None])
         np.testing.assert_allclose(out[0], unit(180))
 
     def test_recall_counts_repeated_picks(self):
         store = EpisodicStore(dim=2, capacity=3, queue_capacity=3, recall_top_k=2)
         store.update(np.stack([unit(0), unit(45), unit(180)]))
-        store.recall(np.stack([unit(10), unit(20), unit(170)]))
+        store.count(store.recall(np.stack([unit(10), unit(20), unit(170)]))[1])
         assert [r.freq for r in store.entries] == [2, 3, 1]
 
 
@@ -239,7 +258,9 @@ class TestArrayStoreParity:
                 if rng.random() < 0.1:
                     q[0] = np.nan
                 count = bool(rng.random() < 0.8)
-                out, trace = store.recall(q, update_freq=count)
+                out, trace = store.recall(q)
+                if count:
+                    store.count(trace)
                 want, want_trace = ref.recall(q, update_freq=count)
                 np.testing.assert_array_equal(out, want)
                 assert (trace is None) == (want_trace is None)
@@ -350,7 +371,7 @@ class TestFuzzInvariants:
         updates = 0
         for _ in range(10_000):
             if rng.random() < 0.5:
-                store.recall(rng.standard_normal((2, 3)))
+                store.count(store.recall(rng.standard_normal((2, 3)))[1])
             else:
                 pats = rng.standard_normal((k, 3))
                 store.update(pats)
@@ -404,12 +425,16 @@ class TestGroupParity:
                     q[0] = np.nan
                 up = rng.standard_normal(q.shape)
                 count = bool(rng.random() < 0.8)
-                out, trace = grouped.recall(q, update_freq=count)
+                out, trace = grouped.recall(q)
+                if count:
+                    grouped.count(trace)
                 dq = grouped.recall_backward(trace, up)
                 scores = grouped.scores(q)
                 for j, single in enumerate(singles):
                     sub = slice(j, None, n)
-                    s_out, s_trace = single.recall(q[sub], update_freq=count)
+                    s_out, s_trace = single.recall(q[sub])
+                    if count:
+                        single.count(s_trace)
                     np.testing.assert_array_equal(out[sub], s_out)
                     np.testing.assert_array_equal(dq[sub], single.recall_backward(s_trace, up[sub]))
                     np.testing.assert_array_equal(scores[sub], single.scores(q[sub]))

@@ -51,11 +51,10 @@ class TestLossGradients:
         draws = draw_step_randomness(rng, cfg, cfg.batch_size)
 
         def loss():
-            return model.loss(batch_x, batch_y, draws,
-                              compute_grad=False, count_freq=False).total
+            return model.loss(batch_x, batch_y, draws, compute_grad=False).total
 
         model.params.zero_grads()
-        out = model.loss(batch_x, batch_y, draws, count_freq=False)
+        out = model.loss(batch_x, batch_y, draws)
         assert np.isfinite(out.total)
         report = finite_diff_check(loss, model.params, tolerance=1e-4,
                                    max_coords_per_param=24, rng=rng)
@@ -146,11 +145,10 @@ class TestConditionRouting:
         draws = draw_step_randomness(rng, cfg, cfg.batch_size)
 
         def loss():
-            return model.loss(batch_x, batch_y, draws,
-                              compute_grad=False, count_freq=False).total
+            return model.loss(batch_x, batch_y, draws, compute_grad=False).total
 
         model.params.zero_grads()
-        model.loss(batch_x, batch_y, draws, count_freq=False)
+        model.loss(batch_x, batch_y, draws)
         report = finite_diff_check(loss, model.params, tolerance=1e-4,
                                    max_coords_per_param=16, rng=rng)
         assert report.passed, (report.max_rel_error, report.worst_param)
@@ -187,18 +185,77 @@ class TestTrainerBehavior:
         for key in snaps[0]:
             np.testing.assert_array_equal(snaps[0][key], snaps[1][key])
 
-    def test_nan_batch_aborts_and_rolls_back(self, rng):
+    @staticmethod
+    def trained_trainer(rng, steps=5):
+        """A tiny trainer after a few steps: Adam moments set, episodic store
+        holding main and queued records with recall counts."""
         trainer = tiny_trainer()
-        cfg = trainer.cfg
-        before = trainer.model.params.snapshot()
-        bad_x, batch_y = random_batch(cfg, rng)
+        for _ in range(steps):
+            assert not trainer.training_step(*random_batch(trainer.cfg, rng)).aborted
+        return trainer
+
+    @staticmethod
+    def trainer_state(trainer):
+        state = {"param/" + k: v for k, v in trainer.model.params.snapshot().items()}
+        state.update(trainer.model.episodic.state_arrays("episodic/{}"))
+        opt = trainer.opt
+        state.update({"step": np.array(trainer.step_count), "adam/t": np.array(opt.t),
+                      "adam/m": np.array(opt.m), "adam/v": np.array(opt.v)})
+        return state
+
+    def assert_unchanged(self, trainer, before):
+        after = self.trainer_state(trainer)
+        assert before.keys() == after.keys()
+        for key in before:
+            np.testing.assert_array_equal(before[key], after[key], err_msg=key)
+
+    def test_nan_batch_aborts_and_rolls_back(self, rng):
+        trainer = self.trained_trainer(rng)
+        before = self.trainer_state(trainer)
+        assert len(trainer.model.episodic.queue) > 0
+        bad_x, batch_y = random_batch(trainer.cfg, rng)
         bad_x[0, 0, 0] = np.nan
         result = trainer.training_step(bad_x, batch_y)
         assert result.aborted
         assert trainer.incidents
-        after = trainer.model.params.snapshot()
-        for key in before:
-            np.testing.assert_array_equal(before[key], after[key])
+        self.assert_unchanged(trainer, before)
+
+    def test_nonfinite_gradient_aborts_and_rolls_back(self, rng, monkeypatch):
+        trainer = self.trained_trainer(rng)
+        before = self.trainer_state(trainer)
+        params = trainer.model.params
+        clip = params.clip_global_norm
+
+        def clip_then_poison(max_norm):
+            norm = clip(max_norm)
+            params["encoder/b0"].grad[0] = np.inf
+            return norm
+
+        monkeypatch.setattr(params, "clip_global_norm", clip_then_poison)
+        result = trainer.training_step(*random_batch(trainer.cfg, rng))
+        assert result.aborted and "encoder/b0" in result.reason
+        self.assert_unchanged(trainer, before)
+
+    @pytest.mark.parametrize("change,message", [
+        ({"trainer/step": np.zeros(0, dtype=np.int64)}, "trainer/step"),
+        ({"param/encoder/W0": np.ones(3)}, "encoder/W0"),
+        ({"episodic/0/queue/births": np.zeros(0, dtype=np.int64)}, "episodic/0/queue"),
+        ({"adam/t": np.zeros(0, dtype=np.int64)}, "adam/t"),
+        ({"adam/m/encoder/b0": np.ones(3)}, "encoder/b0"),
+        ({"adam/v/ghost": np.ones(3)}, "adam/v/ghost"),
+    ], ids=["step", "param", "episodic", "adam-t", "moment", "ghost-moment"])
+    def test_refused_checkpoint_leaves_trainer_unchanged(self, tmp_path, rng, change, message):
+        source = tiny_trainer(seed=4)
+        source.fit()
+        path = str(tmp_path / "checkpoint.bin")
+        source.save_checkpoint(path)
+        arrays, meta = checkpoint.load(path)
+        checkpoint.save(path, {**arrays, **change}, meta)
+        trainer = self.trained_trainer(rng)
+        before = self.trainer_state(trainer)
+        with pytest.raises(DataError, match=message):
+            trainer.load_checkpoint(path)
+        self.assert_unchanged(trainer, before)
 
     def test_one_episodic_update_per_step(self, rng):
         trainer = tiny_trainer()
