@@ -1,10 +1,10 @@
-"""Cosine-attention recall math shared by the two memory modules.
+"""Cosine-attention read shared by the two memory modules.
 
 Both memories hold G groups: G = 1 shares one memory across channels, G =
 n_channels gives each channel its own. Channel rows (B*N, d), with channel
-= row % N, reach a memory as (G, B*N/G, d) through group_rows; the score,
-weight and backward functions here work on the trailing axes, so they
-batch over the groups.
+= row % N, reach a memory's (G, n, d) keys as (G, B*N/G, d) through
+group_rows. ``read`` weighs every key of the row's group (semantic memory)
+or the row's top k (episodic memory); ``read_backward`` serves both.
 
 Scores are cosine similarities; recall weights clamp negative scores to
 zero and add a small epsilon before normalizing, so the aggregation is
@@ -14,6 +14,8 @@ clamp uses the zero subgradient at the kink.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,17 +68,18 @@ def cosine_score(block: np.ndarray, query: np.ndarray) -> float:
     return float(block @ query / (nb * nq))
 
 
-def cosine_matrix(blocks: np.ndarray, queries: np.ndarray):
-    """All-pairs cosine scores, batched over leading axes.
+def cosine(rows: np.ndarray, keys: np.ndarray, key_norms: np.ndarray):
+    """Cosine scores of (R, d) channel rows against their group's (G, n, d) keys.
 
-    blocks: (..., B, d), queries: (..., R, d) -> scores (..., R, B) plus
-    cached norms.
+    Returns the (G, R', d) grouped rows, their (G, R', n) scores and (G, R')
+    norms. Key norms are checked before row norms.
     """
-    nb = row_norms(blocks, "block")
-    nq = row_norms(queries, "query")
-    scores = queries @ blocks.swapaxes(-1, -2)
-    scores /= nq[..., :, None] * nb[..., None, :]
-    return scores, nq, nb
+    grouped = group_rows(rows, len(keys))
+    check_norms(key_norms, "block")
+    nq = row_norms(grouped, "query")
+    scores = grouped @ keys.swapaxes(-1, -2)
+    scores /= nq[..., None] * key_norms[:, None, :]
+    return grouped, scores, nq
 
 
 def top_k(scores: np.ndarray, k: int) -> "tuple[np.ndarray, np.ndarray]":
@@ -113,20 +116,72 @@ def clamp_normalize(scores: np.ndarray):
     return pos, z
 
 
-def weights_backward(d_weights: np.ndarray, weights: np.ndarray, z: np.ndarray,
-                     scores: np.ndarray) -> np.ndarray:
-    """Backprop through clamp_normalize: d(loss)/d(scores)."""
-    rowdot = np.sum(weights * d_weights, axis=-1, keepdims=True)
-    d_pos = (d_weights - rowdot) / z[..., None]
-    return d_pos * (scores > 0.0)
+@dataclass
+class ReadTrace:
+    """One read. Row arrays are 2-D and group-major: group g's R' rows come g-th."""
+
+    rows: np.ndarray        # (G*R', d)
+    idx: "np.ndarray | None"   # (G*R', k) picks within the group; None: every key was read
+    keys: np.ndarray        # (G, n, d) shared, or (G, R', k, d) each row's picks
+    key_norms: np.ndarray   # (G, 1, n) or (G, R', k), broadcasting like the grouped scores
+    scores: np.ndarray      # (G*R', n or k) cosine scores
+    weights: np.ndarray     # (G*R', n or k) clamp-normalized scores
+    z: np.ndarray           # (G*R',) weight normalizers
+    nq: np.ndarray          # (G*R',) row norms
 
 
-def cosine_matrix_backward(d_scores: np.ndarray, blocks: np.ndarray, queries: np.ndarray,
-                           scores: np.ndarray, nq: np.ndarray, nb: np.ndarray):
-    """Backprop through cosine_matrix: returns (d_queries, d_blocks)."""
-    scaled = d_scores / (nq[..., :, None] * nb[..., None, :])
+def _mix(weights: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """(G, R', d) weighted key sums: shared keys by matmul, each row's picks by einsum."""
+    if keys.ndim == 3:
+        return weights @ keys
+    return np.einsum("...k,...kd->...d", weights, keys)
+
+
+def read(rows: np.ndarray, keys: np.ndarray, key_norms: np.ndarray,
+         k: "int | None" = None) -> "tuple[np.ndarray, ReadTrace]":
+    """Recall (R, d) channel rows from their group's (G, n, d) keys; returns (R, d), trace.
+
+    k = None weighs every key of the group; an integer k weighs each row's
+    top k, picked by top_k even when k >= n, which fixes the summation order.
+    """
+    groups, n, dim = keys.shape
+    grouped, scores, nq = cosine(rows, keys, key_norms)
+    scores, idx = scores.reshape(-1, n), None
+    if k is None:
+        key_norms = key_norms[:, None, :]
+    else:
+        idx, scores = top_k(scores, k)
+        at = (np.arange(groups)[:, None, None], idx.reshape(groups, -1, k))
+        keys, key_norms = keys[at], key_norms[at]
+    weights, z = clamp_normalize(scores)
+    trace = ReadTrace(grouped.reshape(-1, dim), idx, keys, key_norms, scores, weights, z,
+                      nq.ravel())
+    return ungroup_rows(_mix(weights.reshape(groups, -1, scores.shape[1]), keys)), trace
+
+
+def read_backward(trace: ReadTrace, upstream: np.ndarray,
+                  key_grad: "np.ndarray | None" = None) -> np.ndarray:
+    """Gradient of a read w.r.t. its (R, d) rows, given upstream (R, d).
+
+    Shared keys add their gradient to a (G, n, d) key_grad, if given;
+    selected keys are constants.
+    """
+    keys, kn, groups = trace.keys, trace.key_norms, len(trace.keys)
+    shape = (groups, -1, trace.scores.shape[1])
+    weights, scores = trace.weights.reshape(shape), trace.scores.reshape(shape)
+    nq, rows = trace.nq.reshape(groups, -1), trace.rows.reshape(groups, -1, keys.shape[-1])
+    upstream = group_rows(upstream, groups)
+    if trace.idx is None:
+        d_weights = upstream @ keys.swapaxes(-1, -2)
+    else:
+        d_weights = np.einsum("...d,...kd->...k", upstream, keys)
+    rowdot = np.sum(weights * d_weights, axis=-1, keepdims=True)   # through clamp_normalize
+    d_scores = (d_weights - rowdot) / trace.z.reshape(groups, -1, 1) * (scores > 0.0)
+    scaled = d_scores / (nq[..., None] * kn)                        # through the cosine
     ds_dot = np.sum(d_scores * scores, axis=-1)
-    d_queries = scaled @ blocks - (ds_dot / (nq * nq))[..., None] * queries
-    ds_dot_b = np.sum(d_scores * scores, axis=-2)
-    d_blocks = scaled.swapaxes(-1, -2) @ queries - (ds_dot_b / (nb * nb))[..., None] * blocks
-    return d_queries, d_blocks
+    d_rows = _mix(scaled, keys) - (ds_dot / (nq * nq))[..., None] * rows
+    if key_grad is not None:
+        key_grad += weights.swapaxes(-1, -2) @ upstream
+        ds_dot, kn = np.sum(d_scores * scores, axis=-2), kn[:, 0]
+        key_grad += scaled.swapaxes(-1, -2) @ rows - (ds_dot / (kn * kn))[..., None] * keys
+    return ungroup_rows(d_rows)

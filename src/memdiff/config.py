@@ -92,6 +92,7 @@ class TrainConfig:
             "recall_top_k": self.recall_top_k, "batch_size": self.batch_size,
             "embed_dim": self.embed_dim, "checkpoint_every": self.checkpoint_every,
             "threads": self.threads, "stride_train": self.stride_train,
+            "synth_length": self.synth_length, "synth_channels": self.synth_channels,
         }
         for name, value in positive.items():
             if value < 1:
@@ -101,6 +102,13 @@ class TrainConfig:
         for name, value in nonnegative.items():
             if value < 0:
                 raise UsageError(f"config: {name} must be nonnegative, got {value}")
+        for name, widths in {"enc_hidden": self.enc_hidden, "den_hidden": self.den_hidden}.items():
+            if any(width < 1 for width in widths):
+                raise UsageError(f"config: {name} widths must be positive, got {widths}")
+        ratios = self.split_ratios
+        if ratios is not None and (len(ratios) != 3 or min(ratios) < 1):
+            raise UsageError(f"config: split_ratios must be three positive integers, "
+                             f"got {list(ratios)}")
         for name, value in {"lr": self.lr, "grad_clip": self.grad_clip}.items():
             if not value > 0.0:   # also rejects nan
                 raise UsageError(f"config: {name} must be positive, got {value}")

@@ -31,20 +31,6 @@ class EpisodicRecord:
     birth: int             # global insertion counter, breaks ranking ties
 
 
-@dataclass
-class EpisodicRecallTrace:
-    """Row arrays are group-major: group g's R' query rows come g-th."""
-
-    queries: np.ndarray
-    idx: np.ndarray         # (G*R', K) selected record indices within the group
-    gathered: np.ndarray    # (G*R', K, d) selected patterns
-    scores: np.ndarray      # (G*R', K) selected cosine scores
-    weights: np.ndarray
-    z: np.ndarray
-    nq: np.ndarray
-    np_sel: np.ndarray      # (G*R', K) norms of selected patterns
-
-
 class EpisodicStore:
     """Capacity-limited pattern store with recall counting and queue-guarded eviction.
 
@@ -119,24 +105,16 @@ class EpisodicStore:
 
     # -- recall ---------------------------------------------------------
 
-    def _cosine(self, queries: np.ndarray):
-        """attention.cosine_matrix of (G, R', d) queries against their group's
-        live patterns, reusing the stored norms."""
-        n = self._n_main + self._n_queue
-        npat = attention.check_norms(self._norms[:, :n], "block")
-        nq = attention.row_norms(queries, "query")
-        scores = queries @ self._patterns[:, :n].swapaxes(-1, -2)
-        scores /= nq[..., None] * npat[:, None, :]
-        return scores, nq
-
     def scores(self, queries: np.ndarray) -> np.ndarray:
         """(R, n_records) cosine score matrix; empty store gives zero columns."""
         queries = np.atleast_2d(queries)
         if self.is_empty:
             return np.zeros((queries.shape[0], 0))
-        return attention.ungroup_rows(self._cosine(attention.group_rows(queries, self.groups))[0])
+        n = self._n_main + self._n_queue
+        scores = attention.cosine(queries, self._patterns[:, :n], self._norms[:, :n])[1]
+        return attention.ungroup_rows(scores)
 
-    def recall(self, queries: np.ndarray) -> "tuple[np.ndarray, EpisodicRecallTrace | None]":
+    def recall(self, queries: np.ndarray) -> "tuple[np.ndarray, attention.ReadTrace | None]":
         """Weighted sum of the top-k most similar records of each query row's group.
 
         Ties between equal scores go to the lower record index. An empty
@@ -147,37 +125,22 @@ class EpisodicStore:
         if self.is_empty:
             return np.zeros((queries.shape[0], self.dim)), None
         n = self._n_main + self._n_queue
-        grouped = attention.group_rows(queries, self.groups)
-        scores, nq = self._cosine(grouped)
-        idx, sel_scores = attention.top_k(scores.reshape(-1, n), min(self.recall_top_k, n))
-        weights, z = attention.clamp_normalize(sel_scores)
-        flat = (idx.reshape(self.groups, -1) + self._base).reshape(idx.shape)
-        patterns, norms, _, _ = self._flat
-        gathered = patterns[flat]                          # (G*R', K, d)
-        out = np.einsum("rk,rkd->rd", weights, gathered)
-        trace = EpisodicRecallTrace(grouped.reshape(-1, self.dim), idx, gathered, sel_scores,
-                                    weights, z, nq.ravel(), norms[flat])
-        return attention.ungroup_rows(out.reshape(self.groups, -1, self.dim)), trace
+        return attention.read(queries, self._patterns[:, :n], self._norms[:, :n],
+                              min(self.recall_top_k, n))
 
-    def count(self, trace: "EpisodicRecallTrace | None"):
+    def count(self, trace: "attention.ReadTrace | None"):
         """Increment each record's freq once per query row of trace that picked it."""
         if trace is not None:
             freqs = self._flat[2]
             freqs += np.bincount((trace.idx.reshape(self.groups, -1) + self._base).ravel(),
                                  minlength=freqs.size)
 
-    def recall_backward(self, trace: "EpisodicRecallTrace | None", upstream: np.ndarray) -> np.ndarray:
+    def recall_backward(self, trace: "attention.ReadTrace | None",
+                        upstream: np.ndarray) -> np.ndarray:
         """Gradient w.r.t. the queries. Stored patterns are constants."""
         if trace is None:
             return np.zeros_like(upstream)
-        upstream = attention.group_rows(upstream, self.groups).reshape(-1, self.dim)
-        d_weights = np.einsum("rd,rkd->rk", upstream, trace.gathered)
-        d_scores = attention.weights_backward(d_weights, trace.weights, trace.z, trace.scores)
-        scaled = d_scores / (trace.nq[:, None] * trace.np_sel)
-        ds_dot = np.sum(d_scores * trace.scores, axis=1)
-        d_queries = (np.einsum("rk,rkd->rd", scaled, trace.gathered)
-                     - (ds_dot / (trace.nq * trace.nq))[:, None] * trace.queries)
-        return attention.ungroup_rows(d_queries.reshape(self.groups, -1, self.dim))
+        return attention.read_backward(trace, upstream)
 
     # -- update ---------------------------------------------------------
 

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import conditioning, denoiser
+from . import attention, conditioning, denoiser
 from .checkpoint import refuse_extra
 from .config import TrainConfig
-from .episodic import EpisodicRecallTrace, EpisodicStore
+from .episodic import EpisodicStore
 from .errors import DataError
 from .nn import Mlp, ParamStore
 from .schedule import forward_sample, make_schedule
@@ -58,7 +58,7 @@ class LossBreakdown:
     l2: float
     per_sample_condition: np.ndarray   # (B,)
     queries: np.ndarray                # (B, N, d) for episodic selection
-    episodic_trace: "EpisodicRecallTrace | None"   # the recall the step commits by counting
+    episodic_trace: "attention.ReadTrace | None"   # the recall the step commits by counting
 
 
 class ForecastModel:

@@ -22,21 +22,8 @@ REJITTER_NORM = 1e-8
 
 
 @dataclass
-class SemanticRecallTrace:
-    """Row arrays are group-major: group g's R' query rows come g-th."""
-
-    queries: np.ndarray    # (G*R', d)
-    scores: np.ndarray     # (G*R', N1)
-    weights: np.ndarray    # (G*R', N1)
-    z: np.ndarray          # (G*R',)
-    nq: np.ndarray         # (G*R',)
-    nb: np.ndarray         # (G, N1)
-    blocks: np.ndarray     # (G, N1, d)
-
-
-@dataclass
 class SemanticLossTrace:
-    queries: np.ndarray        # group-major, as in SemanticRecallTrace
+    queries: np.ndarray        # group-major, as in attention.ReadTrace
     nearest: np.ndarray        # per-row parameter row of the most similar block
     second: "np.ndarray | None"
     hinge_active: "np.ndarray | None"
@@ -73,43 +60,26 @@ class SemanticMemory:
         if np.any(bad):
             vals[bad] = rng.standard_normal((int(bad.sum()), vals.shape[1]))
 
-    def scores(self, queries: np.ndarray) -> np.ndarray:
-        """Raw (R, N1) cosine scores of each row against its group's blocks;
-        feeds the attention-score export."""
-        s, _, _ = attention.cosine_matrix(self._split(self.blocks.values),
-                                          attention.group_rows(queries, self.groups))
-        return attention.ungroup_rows(s)
-
-    def recall(self, queries: np.ndarray) -> "tuple[np.ndarray, SemanticRecallTrace]":
-        """Aggregate all of a group's blocks per query with clamp-normalized weights."""
+    def _keys(self) -> "tuple[np.ndarray, np.ndarray]":
+        """The (G, N1, d) block view and its (G, N1) norms."""
         blocks = self._split(self.blocks.values)
-        _, n1, dim = blocks.shape
-        if n1 < 1:
+        return blocks, attention.l2_norms(blocks)
+
+    def scores(self, queries: np.ndarray) -> np.ndarray:
+        """Raw (R, N1) cosine scores of each row against its group's blocks (score export)."""
+        return attention.ungroup_rows(attention.cosine(queries, *self._keys())[1])
+
+    def recall(self, queries: np.ndarray) -> "tuple[np.ndarray, attention.ReadTrace]":
+        """Aggregate all of a group's blocks per query with clamp-normalized weights."""
+        if self.count < 1:
             raise InvariantError("semantic memory is empty")
-        grouped = attention.group_rows(queries, self.groups)
-        scores, nq, nb = attention.cosine_matrix(blocks, grouped)
-        weights, z = attention.clamp_normalize(scores)
-        out = attention.ungroup_rows(weights @ blocks)
-        return out, SemanticRecallTrace(grouped.reshape(-1, dim), scores.reshape(-1, n1),
-                                        weights.reshape(-1, n1), z.ravel(), nq.ravel(),
-                                        nb, blocks)
+        return attention.read(queries, *self._keys())
 
-    def recall_backward(self, trace: SemanticRecallTrace, upstream: np.ndarray) -> np.ndarray:
+    def recall_backward(self, trace: attention.ReadTrace, upstream: np.ndarray) -> np.ndarray:
         """Accumulate block grads; return gradient w.r.t. the queries."""
-        split = self._split
-        upstream = attention.group_rows(upstream, self.groups)
-        weights, scores = split(trace.weights), split(trace.scores)
-        grad = split(self.blocks.grad)
-        d_weights = upstream @ trace.blocks.swapaxes(-1, -2)
-        grad += weights.swapaxes(-1, -2) @ upstream
-        d_scores = attention.weights_backward(d_weights, weights, split(trace.z), scores)
-        d_queries, d_blocks = attention.cosine_matrix_backward(
-            d_scores, trace.blocks, split(trace.queries), scores, split(trace.nq), trace.nb
-        )
-        grad += d_blocks
-        return attention.ungroup_rows(d_queries)
+        return attention.read_backward(trace, upstream, self._split(self.blocks.grad))
 
-    def losses(self, trace: SemanticRecallTrace, margin: float
+    def losses(self, trace: attention.ReadTrace, margin: float
                ) -> "tuple[float, float, SemanticLossTrace]":
         """Consistency and contrastive losses over a recall's query rows.
 
@@ -122,7 +92,7 @@ class SemanticMemory:
         # block index within the group -> row of the (G*N1, d) parameter
         order += np.repeat(np.arange(self.groups) * self.count,
                            len(order) // self.groups)[:, None]
-        queries = trace.queries
+        queries = trace.rows
         nearest = order[:, 0]
         d1 = queries - self.blocks.values[nearest]
         sq1 = np.sum(d1 * d1, axis=1)

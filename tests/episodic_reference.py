@@ -14,7 +14,8 @@ from collections import deque
 import numpy as np
 
 from memdiff import attention
-from memdiff.episodic import EpisodicRecallTrace, EpisodicRecord
+from memdiff.attention import ReadTrace
+from memdiff.episodic import EpisodicRecord
 from memdiff.errors import InvariantError
 
 
@@ -36,7 +37,7 @@ class ReferenceEpisodicStore:
     def records(self) -> "list[EpisodicRecord]":
         return self.entries + list(self.queue)
 
-    def _cosine(self, queries):
+    def _score_records(self, queries):
         recs = self.records
         pats = np.stack([r.pattern for r in recs])
         npat = attention.row_norms(pats, "block")
@@ -47,13 +48,13 @@ class ReferenceEpisodicStore:
         queries = np.atleast_2d(queries)
         if self.is_empty:
             return np.zeros((queries.shape[0], 0))
-        return self._cosine(queries)[3]
+        return self._score_records(queries)[3]
 
     def recall(self, queries, update_freq: bool = True):
         queries = np.atleast_2d(queries)
         if self.is_empty:
             return np.zeros((queries.shape[0], self.dim)), None
-        recs, pats, npat, scores, nq = self._cosine(queries)
+        recs, pats, npat, scores, nq = self._score_records(queries)
         k = min(self.recall_top_k, len(recs))
         idx = np.argsort(-scores, axis=1, kind="stable")[:, :k]
         sel_scores = np.take_along_axis(scores, idx, axis=1)
@@ -63,8 +64,8 @@ class ReferenceEpisodicStore:
         if update_freq:
             for i in idx.ravel():
                 recs[i].freq += 1
-        return out, EpisodicRecallTrace(queries, idx, gathered, sel_scores,
-                                        weights, z, nq, npat[idx])
+        return out, ReadTrace(queries, idx, gathered[None], npat[idx][None], sel_scores,
+                              weights, z, nq)
 
     def update(self, new_patterns):
         new_patterns = np.atleast_2d(np.asarray(new_patterns, dtype=np.float64))

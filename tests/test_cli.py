@@ -269,6 +269,14 @@ class TestCliCommands:
         ("enc_hidden=[8.5]", "enc_hidden cannot take the value [8.5]"),
         ("den_hidden=[16,true]", "den_hidden cannot take the value [16, True]"),
         ("split_ratios=[7,1.5,2]", "split_ratios cannot take the value [7, 1.5, 2]"),
+        ("enc_hidden=[-3]", "enc_hidden widths must be positive, got [-3]"),
+        ("den_hidden=[-1]", "den_hidden widths must be positive, got [-1]"),
+        ("den_hidden=[0]", "den_hidden widths must be positive, got [0]"),
+        ("split_ratios=[1,0,1]", "split_ratios must be three positive integers, got [1, 0, 1]"),
+        ("split_ratios=[1,2]", "split_ratios must be three positive integers, got [1, 2]"),
+        ("synth_length=-5", "synth_length must be positive, got -5"),
+        ("synth_channels=-1", "synth_channels must be positive, got -1"),
+        ("synth_channels=0", "synth_channels must be positive, got 0"),
     ])
     def test_invalid_config_value_is_usage_error(self, tmp_path, tiny_cfg_file, capsys,
                                                  setting, message):

@@ -60,23 +60,26 @@ class TestRecall:
         assert all(r.freq == 0 for r in store.entries)
 
     def test_gradient_matches_finite_differences(self):
-        store = EpisodicStore(dim=3, capacity=8, queue_capacity=4, recall_top_k=2)
-        rng = np.random.default_rng(0)
-        for _ in range(3):
-            store.update(rng.standard_normal((2, 3)))
-        q = rng.standard_normal((4, 3))
-        g = rng.standard_normal((4, 3))
-        _, trace = store.recall(q)
-        dq = store.recall_backward(trace, g)
-        h = 1e-6
-        for r in range(4):
-            for i in range(3):
-                qp, qm = q.copy(), q.copy()
-                qp[r, i] += h
-                qm[r, i] -= h
-                fd = (np.sum(store.recall(qp)[0] * g)
-                      - np.sum(store.recall(qm)[0] * g)) / (2 * h)
-                np.testing.assert_allclose(dq[r, i], fd, rtol=1e-5, atol=1e-9)
+        for groups in (1, 3):
+            store = EpisodicStore(dim=3, capacity=8, queue_capacity=4, recall_top_k=2,
+                                  groups=groups)
+            rng = np.random.default_rng(0)
+            for _ in range(3):
+                store.update(rng.standard_normal((2 * groups, 3)))
+            q = rng.standard_normal((4 * groups, 3))
+            g = rng.standard_normal((4 * groups, 3))
+            _, trace = store.recall(q)
+            dq = store.recall_backward(trace, g)
+            h = 1e-6
+            for r in range(4 * groups):
+                for i in range(3):
+                    qp, qm = q.copy(), q.copy()
+                    qp[r, i] += h
+                    qm[r, i] -= h
+                    fd = (np.sum(store.recall(qp)[0] * g)
+                          - np.sum(store.recall(qm)[0] * g)) / (2 * h)
+                    np.testing.assert_allclose(dq[r, i], fd, rtol=1e-5, atol=1e-9,
+                                               err_msg=f"groups={groups}")
 
     @pytest.mark.parametrize("groups", [1, 3])
     def test_recall_leaves_state_unchanged(self, groups):

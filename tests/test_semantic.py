@@ -8,11 +8,11 @@ from memdiff.attention import WEIGHT_EPS, clamp_normalize, top_k
 from memdiff.errors import NumericError
 
 
-def make_memory(n_blocks, dim, seed=0):
+def make_memory(n_blocks, dim, seed=0, groups=1):
     store = ParamStore()
-    blocks = store.register("semantic/blocks",
-                            np.random.default_rng(seed).standard_normal((n_blocks, dim)))
-    return store, SemanticMemory(blocks)
+    blocks = store.register("semantic/blocks", np.random.default_rng(seed).standard_normal(
+        (groups * n_blocks, dim)))
+    return store, SemanticMemory(blocks, groups)
 
 
 class TestCosineScore:
@@ -69,29 +69,32 @@ class TestRecall:
         np.testing.assert_array_equal(out[0], out[1])
 
     def test_recall_gradient_matches_finite_differences(self):
-        store, mem = make_memory(4, 3, seed=6)
-        rng = np.random.default_rng(7)
-        q = rng.standard_normal((5, 3))
-        g = rng.standard_normal((5, 3))
+        # groups = 3 reads per-channel blocks; the first groups + 1 rows cover every group
+        for groups in (1, 3):
+            store, mem = make_memory(4, 3, seed=6, groups=groups)
+            rng = np.random.default_rng(7)
+            q = rng.standard_normal((5 * groups, 3))
+            g = rng.standard_normal((5 * groups, 3))
 
-        def loss():
-            out, _ = mem.recall(q)
-            return float(np.sum(out * g))
+            def loss():
+                out, _ = mem.recall(q)
+                return float(np.sum(out * g))
 
-        store.zero_grads()
-        _, trace = mem.recall(q)
-        dq = mem.recall_backward(trace, g)
-        report = finite_diff_check(loss, store, tolerance=1e-6, h=1e-6)
-        assert report.passed, report.max_rel_error
-        # query gradient against finite differences
-        h = 1e-6
-        for r in range(2):
-            for i in range(3):
-                qp, qm = q.copy(), q.copy()
-                qp[r, i] += h
-                qm[r, i] -= h
-                fd = (np.sum(mem.recall(qp)[0] * g) - np.sum(mem.recall(qm)[0] * g)) / (2 * h)
-                np.testing.assert_allclose(dq[r, i], fd, rtol=1e-5, atol=1e-9)
+            store.zero_grads()
+            _, trace = mem.recall(q)
+            dq = mem.recall_backward(trace, g)
+            report = finite_diff_check(loss, store, tolerance=1e-6, h=1e-6)
+            assert report.passed, (groups, report.max_rel_error)
+            # query gradient against finite differences
+            h = 1e-6
+            for r in range(groups + 1):
+                for i in range(3):
+                    qp, qm = q.copy(), q.copy()
+                    qp[r, i] += h
+                    qm[r, i] -= h
+                    fd = (np.sum(mem.recall(qp)[0] * g)
+                          - np.sum(mem.recall(qm)[0] * g)) / (2 * h)
+                    np.testing.assert_allclose(dq[r, i], fd, rtol=1e-5, atol=1e-9)
 
 
 class TestLosses:
