@@ -62,12 +62,21 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _resolve_config(args) -> TrainConfig:
+def _resolve_config(args) -> "tuple[TrainConfig, Dataset | None]":
+    """The run's validated config and its CSV dataset (None for synthetic data and for
+    synth). n_channels comes from the data, so both are read before any output is written."""
     cfg = load_config(args.config, args.overrides)
     for key, value in (("seed", args.seed), ("out_dir", args.out), ("threads", args.threads),
                        ("substeps", args.substeps)):
         if value is not None:
             setattr(cfg, key, value)
+    synth = args.command == "synth"   # writes synthetic data and reads none
+    csv_data = None
+    if cfg.csv_path and not synth:
+        csv_data = load_csv(cfg.csv_path, cfg.dataset, cfg.missing_policy)
+    elif cfg.dataset != "synthetic" and not synth:
+        raise DataError(f"dataset {cfg.dataset!r} has no csv_path and is not synthetic")
+    cfg.n_channels = csv_data.n_channels if csv_data is not None else cfg.synth_channels
     cfg.validate()
     if cfg.threads != 1:
         try:
@@ -77,7 +86,7 @@ def _resolve_config(args) -> TrainConfig:
                              "set OPENBLAS_NUM_THREADS / OMP_NUM_THREADS before starting "
                              "memdiff instead") from None
         threadpool_limits(limits=cfg.threads)
-    return cfg
+    return cfg, csv_data
 
 
 def _write(path: str, text: str):
@@ -91,22 +100,15 @@ def _snapshot(cfg: TrainConfig) -> str:
     return cfg.out_dir
 
 
-def _load_dataset(cfg: TrainConfig) -> Dataset:
-    if cfg.csv_path:
-        ds = load_csv(cfg.csv_path, cfg.dataset, cfg.missing_policy)
-        cfg.n_channels = ds.n_channels
-        return ds
-    if cfg.dataset == "synthetic":
-        spec = SynthSpec(length=cfg.synth_length, channels=cfg.synth_channels,
-                         noise=cfg.synth_noise, motif_rate=cfg.synth_motif_rate)
-        ds, _ = synth_generate(spec, cfg.seed)
-        cfg.n_channels = ds.n_channels
-        return ds
-    raise DataError(f"dataset {cfg.dataset!r} has no csv_path and is not synthetic")
+def _synthetic(cfg: TrainConfig) -> "tuple[Dataset, list[tuple[int, int, int]]]":
+    spec = SynthSpec(length=cfg.synth_length, channels=cfg.synth_channels,
+                     noise=cfg.synth_noise, motif_rate=cfg.synth_motif_rate)
+    return synth_generate(spec, cfg.seed)
 
 
-def _prepared_trainer(cfg: TrainConfig, fit: bool, out_dir: str) -> "tuple[Trainer, Dataset]":
-    ds = _load_dataset(cfg)
+def _prepared_trainer(cfg: TrainConfig, csv_data: "Dataset | None", fit: bool,
+                      out_dir: str) -> "tuple[Trainer, Dataset]":
+    ds = csv_data if csv_data is not None else _synthetic(cfg)[0]
     data = prepare(cfg, ds)
     _write(os.path.join(out_dir, "dataset_stats.json"),
            ds.stats_json((len(data.train), len(data.val), len(data.test))))
@@ -132,9 +134,9 @@ def _write_matrix_csv(path: str, matrix: np.ndarray, header: "list[str]"):
             writer.writerow([repr(float(v)) for v in row])
 
 
-def cmd_train(cfg: TrainConfig) -> int:
+def cmd_train(cfg: TrainConfig, csv_data: "Dataset | None") -> int:
     out = _snapshot(cfg)
-    trainer, _ = _prepared_trainer(cfg, fit=True, out_dir=out)
+    trainer, _ = _prepared_trainer(cfg, csv_data, fit=True, out_dir=out)
     result = trainer.evaluate("val") if trainer.data.val else trainer.evaluate("test")
     _write(os.path.join(out, "metrics.json"),
            metrics_json(result, {"split": "val" if trainer.data.val else "test",
@@ -142,9 +144,9 @@ def cmd_train(cfg: TrainConfig) -> int:
     return 0
 
 
-def cmd_evaluate(cfg: TrainConfig) -> int:
+def cmd_evaluate(cfg: TrainConfig, csv_data: "Dataset | None") -> int:
     out = _snapshot(cfg)
-    trainer, _ = _prepared_trainer(cfg, fit=False, out_dir=out)
+    trainer, _ = _prepared_trainer(cfg, csv_data, fit=False, out_dir=out)
     result = trainer.evaluate("test", substeps=cfg.substeps)
     _write(os.path.join(out, "metrics.json"),
            metrics_json(result, {"split": "test", "config_hash": config_hash(cfg),
@@ -152,9 +154,9 @@ def cmd_evaluate(cfg: TrainConfig) -> int:
     return 0
 
 
-def cmd_forecast(cfg: TrainConfig) -> int:
+def cmd_forecast(cfg: TrainConfig, csv_data: "Dataset | None") -> int:
     out = _snapshot(cfg)
-    trainer, ds = _prepared_trainer(cfg, fit=False, out_dir=out)
+    trainer, ds = _prepared_trainer(cfg, csv_data, fit=False, out_dir=out)
     stats = trainer.data.stats
     lookback = stats.normalize(ds.values[-cfg.lookback:])
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(5)[4])
@@ -167,7 +169,7 @@ def cmd_forecast(cfg: TrainConfig) -> int:
     return 0
 
 
-def cmd_ablate(cfg: TrainConfig, variants: str) -> int:
+def cmd_ablate(cfg: TrainConfig, csv_data: "Dataset | None", variants: str) -> int:
     out = _snapshot(cfg)
     names = [v.strip() for v in variants.split(",") if v.strip()]
     for name in names:
@@ -178,7 +180,8 @@ def cmd_ablate(cfg: TrainConfig, variants: str) -> int:
         vcfg = dataclasses.replace(cfg, out_dir=os.path.join(out, name.replace("/", "_")),
                                    **VARIANTS[name])
         os.makedirs(vcfg.out_dir, exist_ok=True)
-        trainer, _ = _prepared_trainer(vcfg.validate(), fit=True, out_dir=vcfg.out_dir)
+        trainer, _ = _prepared_trainer(vcfg.validate(), csv_data, fit=True,
+                                       out_dir=vcfg.out_dir)
         result = trainer.evaluate("test")
         rows.append((name, result))
         _write(os.path.join(vcfg.out_dir, "metrics.json"),
@@ -191,9 +194,9 @@ def cmd_ablate(cfg: TrainConfig, variants: str) -> int:
     return 0
 
 
-def cmd_export_scores(cfg: TrainConfig) -> int:
+def cmd_export_scores(cfg: TrainConfig, csv_data: "Dataset | None") -> int:
     out = _snapshot(cfg)
-    trainer, _ = _prepared_trainer(cfg, fit=False, out_dir=out)
+    trainer, _ = _prepared_trainer(cfg, csv_data, fit=False, out_dir=out)
     data = trainer.data
     window = data.test[0] if data.test else data.train[0]
     sem, epi = trainer.model.attention_scores(window.lookback)
@@ -208,9 +211,7 @@ def cmd_export_scores(cfg: TrainConfig) -> int:
 
 def cmd_synth(cfg: TrainConfig) -> int:
     out = _snapshot(cfg)
-    spec = SynthSpec(length=cfg.synth_length, channels=cfg.synth_channels,
-                     noise=cfg.synth_noise, motif_rate=cfg.synth_motif_rate)
-    ds, injections = synth_generate(spec, cfg.seed)
+    ds, injections = _synthetic(cfg)
     _write(os.path.join(out, "synthetic.csv"), dataset_to_csv(ds))
     _write(os.path.join(out, "synthetic_injections.json"),
            json.dumps([{"channel": c, "start": s, "motif": m} for c, s, m in injections]))
@@ -221,11 +222,13 @@ def cmd_synth(cfg: TrainConfig) -> int:
 def run(argv: "list[str] | None" = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        cfg = _resolve_config(args)
+        cfg, csv_data = _resolve_config(args)
+        if args.command == "synth":
+            return cmd_synth(cfg)
         if args.command == "ablate":
-            return cmd_ablate(cfg, args.variants)
+            return cmd_ablate(cfg, csv_data, args.variants)
         return {"train": cmd_train, "evaluate": cmd_evaluate, "forecast": cmd_forecast,
-                "export-scores": cmd_export_scores, "synth": cmd_synth}[args.command](cfg)
+                "export-scores": cmd_export_scores}[args.command](cfg, csv_data)
     except MemdiffError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc),
                           "exit_code": exc.exit_code}), file=sys.stderr)

@@ -84,7 +84,8 @@ class TrainConfig:
     synth_motif_rate: float = 0.02
 
     def validate(self):
-        positive = {
+        positive = {   # synthetic data sets n_channels from synth_channels: name that first
+            "synth_length": self.synth_length, "synth_channels": self.synth_channels,
             "lookback": self.lookback, "horizon": self.horizon,
             "n_channels": self.n_channels, "latent_dim": self.latent_dim,
             "diffusion_steps": self.diffusion_steps, "semantic_size": self.semantic_size,
@@ -92,7 +93,6 @@ class TrainConfig:
             "recall_top_k": self.recall_top_k, "batch_size": self.batch_size,
             "embed_dim": self.embed_dim, "checkpoint_every": self.checkpoint_every,
             "threads": self.threads, "stride_train": self.stride_train,
-            "synth_length": self.synth_length, "synth_channels": self.synth_channels,
         }
         for name, value in positive.items():
             if value < 1:
@@ -186,7 +186,11 @@ def _as_int(val) -> int:
 
 
 def load_config(path: "str | None", overrides: "list[str] | None" = None) -> TrainConfig:
-    """Build a TrainConfig from an optional file plus key=value overrides."""
+    """Build a TrainConfig from an optional file plus key=value overrides.
+
+    The config is not validated here: the caller may still set fields from
+    the data (the CLI takes n_channels from it), then calls validate().
+    """
     values: "dict[str, object]" = {}
     if path:
         try:
@@ -224,7 +228,7 @@ def load_config(path: "str | None", overrides: "list[str] | None" = None) -> Tra
         except (TypeError, ValueError):
             raise UsageError(f"config: {key} cannot take the value {val!r}") from None
         setattr(cfg, key, val)
-    return cfg.validate()
+    return cfg
 
 
 def resolved_text(cfg: TrainConfig) -> str:

@@ -73,10 +73,14 @@ def load_csv(path: str, name: str = "", missing_policy: str = "strict") -> Datas
     An optional first column holding non-numeric values (timestamps) is
     dropped. Non-numeric data cells and, under the strict policy, empty
     cells are reported with their line number; the ffill policy forward
-    fills gaps from the previous row.
+    fills gaps from the previous row. A file that cannot be read as UTF-8
+    text raises DataError naming it.
     """
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        return _parse_csv(f, name or path, missing_policy)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            return _parse_csv(f, name or path, missing_policy)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read csv {path}: {exc}") from None
 
 
 def loads_csv(text: str, name: str = "inline", missing_policy: str = "strict") -> Dataset:

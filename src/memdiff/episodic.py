@@ -193,63 +193,44 @@ class EpisodicStore:
 
     # -- persistence ----------------------------------------------------
 
-    def state_arrays(self, prefix: str = "episodic") -> "dict[str, np.ndarray]":
-        """Group g's arrays are keyed under prefix.format(g), so a store of
-        several groups needs a prefix with a {} field, such as "episodic/{}"."""
-        out = {}
+    def state_arrays(self) -> "dict[str, np.ndarray]":
+        """The live rows of each saved column as one (G, records, ...) array, the number of
+        main-slot records (the rest are queued) and the birth counter."""
         n = self._n_main + self._n_queue
-        for g, name in enumerate(prefix.format(g) for g in range(self.groups)):
-            for part, lo, hi in (("entries", 0, self._n_main), ("queue", self._n_main, n)):
-                out[f"{name}/{part}/patterns"] = self._patterns[g, lo:hi].copy()
-                out[f"{name}/{part}/freqs"] = self._freqs[g, lo:hi].copy()
-                out[f"{name}/{part}/births"] = self._births[g, lo:hi].copy()
-            out[f"{name}/birth_counter"] = np.array([self._birth], dtype=np.int64)
-        return out
+        return {"episodic/patterns": self._patterns[:, :n].copy(),
+                "episodic/freqs": self._freqs[:, :n].copy(),
+                "episodic/births": self._births[:, :n].copy(),
+                "episodic/main": np.array([self._n_main], dtype=np.int64),
+                "episodic/birth_counter": np.array([self._birth], dtype=np.int64)}
 
-    def _read_group(self, arrays: "dict[str, np.ndarray]", prefix: str):
-        """One group's (entries, queue, birth counter), checked against the store."""
-        parts = []
-        for part, limit in (("entries", self.capacity), ("queue", self.queue_capacity)):
-            pats, freqs, births = (require(arrays, f"{prefix}/{part}/{name}")
-                                   for name in ("patterns", "freqs", "births"))
-            pats = np.asarray(pats, dtype=np.float64)
-            if pats.ndim != 2 or pats.shape[1] != self.dim:
-                raise DataError(f"{prefix}/{part}/patterns is shaped {pats.shape}, "
-                                f"expected (records, {self.dim})")
-            if freqs.shape != (len(pats),) or births.shape != (len(pats),):
-                raise DataError(f"{prefix}/{part} freqs {freqs.shape} and births "
-                                f"{births.shape} do not match {len(pats)} patterns")
-            if len(pats) > limit:
-                raise DataError(f"{prefix}/{part} holds {len(pats)} records, capacity {limit}")
-            parts.append((pats, attention.l2_norms(pats), freqs, births))
-        birth = counter(arrays, f"{prefix}/birth_counter")
-        entries, queue = parts
-        if len(queue[0]) and len(entries[0]) < self.capacity:
-            raise DataError(f"{prefix}/queue holds records while main slots are free")
-        return entries, queue, birth
-
-    def reader(self, arrays: "dict[str, np.ndarray]", prefix: str = "episodic"):
-        """Check a state_arrays dict (DataError for a missing or misshapen array, or groups
-        that disagree on record counts or birth counter); return write(), which restores it."""
-        names = [prefix.format(g) for g in range(self.groups)]
-        groups = [self._read_group(arrays, name) for name in names]
-        sizes = {(len(e[0]), len(q[0]), birth) for e, q, birth in groups}
-        if len(sizes) > 1:
-            raise DataError(f"{', '.join(names)} disagree on (entries, queued, birth counter): "
-                            f"{sorted(sizes)}")
+    def reader(self, arrays: "dict[str, np.ndarray]"):
+        """Check a state_arrays dict (DataError for a missing or misshapen array, or records
+        the store cannot hold); return write(), which restores it."""
+        pats, freqs, births = (require(arrays, f"episodic/{name}")
+                               for name in ("patterns", "freqs", "births"))
+        pats = np.asarray(pats, dtype=np.float64)
+        if pats.ndim != 3 or pats.shape[0] != self.groups or pats.shape[2] != self.dim:
+            raise DataError(f"episodic/patterns is shaped {pats.shape}, "
+                            f"expected ({self.groups}, records, {self.dim})")
+        n = pats.shape[1]
+        if freqs.shape != (self.groups, n) or births.shape != (self.groups, n):
+            raise DataError(f"episodic/freqs {freqs.shape} and episodic/births {births.shape} "
+                            f"do not match patterns shaped {pats.shape}")
+        n_main, birth = counter(arrays, "episodic/main"), counter(arrays, "episodic/birth_counter")
+        n_queue = n - n_main
+        if n_queue < 0:
+            raise DataError(f"episodic/main is {n_main}, but only {n} records are stored")
+        if n_main > self.capacity or n_queue > self.queue_capacity:
+            raise DataError(f"episodic state holds {n_main} main and {n_queue} queued records, "
+                            f"capacity {self.capacity} and queue capacity {self.queue_capacity}")
+        if n_queue and n_main < self.capacity:
+            raise DataError("episodic state queues records while main slots are free")
 
         def write():
-            (self._n_main, self._n_queue, self._birth), = sizes
-            for g, (entries, queue, _) in enumerate(groups):
-                for col, stored in zip(self._columns, entries):
-                    col[g, :self._n_main] = stored
-                for col, stored in zip(self._columns, queue):
-                    col[g, self._n_main:self._n_main + self._n_queue] = stored
+            self._n_main, self._n_queue, self._birth = n_main, n_queue, birth
+            for col, stored in zip(self._columns, (pats, attention.l2_norms(pats), freqs, births)):
+                col[:, :n] = stored
         return write
-
-    def load_state_arrays(self, arrays: "dict[str, np.ndarray]", prefix: str = "episodic"):
-        """Restore a state_arrays dict; a refused one raises DataError and writes nothing."""
-        self.reader(arrays, prefix)()
 
 
 def select_special(batch_losses: np.ndarray, batch_queries: np.ndarray) -> "np.ndarray | None":

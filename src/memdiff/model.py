@@ -105,10 +105,6 @@ class ForecastModel:
         """(B, T, N) time-major blocks to (B*N, T) channel rows."""
         return np.ascontiguousarray(blocks.transpose(0, 2, 1)).reshape(-1, blocks.shape[1])
 
-    def _rows_to_blocks(self, rows: np.ndarray, batch: int) -> np.ndarray:
-        n = self.cfg.n_channels
-        return rows.reshape(batch, n, -1).transpose(0, 2, 1)
-
     def condition_rows(self, h_rows: np.ndarray, eps_prior: "np.ndarray | None" = None,
                        eps_cond: "np.ndarray | None" = None):
         """Condition rows (R, H) for query rows (R, d): both recalls, the prior and the head.
@@ -148,8 +144,9 @@ class ForecastModel:
             raise DataError(f"horizon batch shaped {batch_y.shape}, "
                             f"expected (*, {cfg.horizon}, {cfg.n_channels})")
 
-        x_rows = self._channel_rows(batch_x)
-        y_rows = self._channel_rows(batch_y)
+        x_rows, y_rows, eps_rows, mask_rows = map(
+            self._channel_rows, (batch_x, batch_y, draws.eps_forward, draws.mask))
+        k_rows = np.repeat(draws.k, cfg.n_channels)
         h_rows, enc_trace = conditioning.encode_rows(self.enc, x_rows)
         c_rows, (sem_trace, epi_trace, prior_trace, head_trace) = self.condition_rows(
             h_rows, draws.eps_prior, draws.eps_cond)
@@ -157,13 +154,10 @@ class ForecastModel:
             l1_sum, l2_sum, loss_trace = self.semantic.losses(sem_trace, cfg.margin)
         else:
             l1_sum = l2_sum = 0.0
-        c = self._rows_to_blocks(c_rows, batch)
-        c_mix = conditioning.future_mixup(c, batch_y, draws.mask)
-        y_k = forward_sample(batch_y, draws.k, draws.eps_forward, self.sched)
-
-        embed_rows = np.repeat(self.step_table[draws.k - 1], cfg.n_channels, axis=0)
+        c_mix_rows = conditioning.future_mixup(c_rows, y_rows, mask_rows)
+        y_k_rows = forward_sample(y_rows, k_rows, eps_rows, self.sched)
         y0_rows, den_trace = denoiser.denoise_rows(
-            self.den, self._channel_rows(y_k), self._channel_rows(c_mix), embed_rows)
+            self.den, y_k_rows, c_mix_rows, self.step_table[k_rows - 1])
 
         resid = y0_rows - y_rows
         per_sample = (resid * resid).reshape(batch, -1).mean(axis=1)
@@ -177,9 +171,8 @@ class ForecastModel:
             d_yk_rows, d_cmix_rows = denoiser.denoise_rows_backward(
                 self.den, den_trace, d_y0, cfg.horizon)
             del d_yk_rows  # y_k depends only on data and frozen noise
-            d_cmix = self._rows_to_blocks(d_cmix_rows, batch)
-            d_c_rows = self._channel_rows(draws.mask * d_cmix)
-            d_m, d_h = conditioning.condition_head_backward(self.cp, head_trace, d_c_rows)
+            d_m, d_h = conditioning.condition_head_backward(self.cp, head_trace,
+                                                            mask_rows * d_cmix_rows)
             if not self.query_bypass:
                 d_h = np.zeros_like(d_h)
             d_u = conditioning.memory_prior_backward(self.cp, prior_trace, d_m)
@@ -215,7 +208,7 @@ class ForecastModel:
         if cfg.ancestral:
             return denoiser.ddpm_sample(predict, cfg.horizon, cfg.n_channels, self.sched, rng)
         return denoiser.ddim_sample(predict, cfg.horizon, cfg.n_channels, self.sched,
-                                    substeps or cfg.substeps, rng)
+                                    cfg.substeps if substeps is None else substeps, rng)
 
     def attention_scores(self, x0: np.ndarray):
         """(semantic (N, N1) or None, episodic (N, records) or None) for one window.
@@ -231,7 +224,7 @@ class ForecastModel:
     def state_arrays(self) -> "dict[str, np.ndarray]":
         arrays = self.params.named("param/")
         if self.episodic is not None:
-            arrays.update(self.episodic.state_arrays("episodic/{}"))
+            arrays.update(self.episodic.state_arrays())
         return arrays
 
     def reader(self, arrays: "dict[str, np.ndarray]"):
@@ -240,7 +233,7 @@ class ForecastModel:
         writes = [self.params.reader(arrays, "param/")]
         refuse_extra(arrays, "episodic/", self.state_arrays())
         if self.episodic is not None:
-            writes.append(self.episodic.reader(arrays, "episodic/{}"))
+            writes.append(self.episodic.reader(arrays))
 
         def write():
             for part in writes:

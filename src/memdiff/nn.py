@@ -311,10 +311,6 @@ class Adam:
             self.t = t
         return write
 
-    def load_state_arrays(self, arrays: "dict[str, np.ndarray]"):
-        """Restore a state_arrays dict; a refused one raises DataError and writes nothing."""
-        self.reader(arrays)()
-
 
 @dataclass
 class GradCheckReport:

@@ -125,6 +125,8 @@ def make_schedule(
             raise InvariantError("failed to bracket schedule scale")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:   # adjacent floats: neither bound can move again
+            break
         if terminal(mid) > TERMINAL_ALPHA_BAR:
             lo = mid
         else:

@@ -90,34 +90,26 @@ class ReferenceEpisodicStore:
         for rec in self.entries:
             rec.freq = 0
 
-    def state_arrays(self, prefix: str = "episodic"):
-        def pack(recs):
-            if not recs:
-                return (np.zeros((0, self.dim)), np.zeros(0, dtype=np.int64),
-                        np.zeros(0, dtype=np.int64))
-            return (np.stack([r.pattern for r in recs]),
-                    np.array([r.freq for r in recs], dtype=np.int64),
-                    np.array([r.birth for r in recs], dtype=np.int64))
+    def state_arrays(self):
+        recs = self.records
+        n = len(recs)
+        return {
+            "episodic/patterns": np.array([r.pattern for r in recs],
+                                          dtype=np.float64).reshape(1, n, self.dim),
+            "episodic/freqs": np.array([[r.freq for r in recs]], dtype=np.int64).reshape(1, n),
+            "episodic/births": np.array([[r.birth for r in recs]], dtype=np.int64).reshape(1, n),
+            "episodic/main": np.array([len(self.entries)], dtype=np.int64),
+            "episodic/birth_counter": np.array([self._birth], dtype=np.int64),
+        }
 
-        out = {f"{prefix}/birth_counter": np.array([self._birth], dtype=np.int64)}
-        for part, recs in (("entries", self.entries), ("queue", list(self.queue))):
-            pats, freqs, births = pack(recs)
-            out[f"{prefix}/{part}/patterns"] = pats
-            out[f"{prefix}/{part}/freqs"] = freqs
-            out[f"{prefix}/{part}/births"] = births
-        return out
-
-    def load_state_arrays(self, arrays, prefix: str = "episodic"):
-        def unpack(part):
-            recs = []
-            for pat, freq, birth in zip(arrays[f"{prefix}/{part}/patterns"],
-                                        arrays[f"{prefix}/{part}/freqs"],
-                                        arrays[f"{prefix}/{part}/births"]):
-                p = np.array(pat, dtype=np.float64)
-                p.setflags(write=False)
-                recs.append(EpisodicRecord(p, int(freq), int(birth)))
-            return recs
-
-        self.entries = unpack("entries")
-        self.queue = deque(unpack("queue"))
-        self._birth = int(arrays[f"{prefix}/birth_counter"][0])
+    def restore(self, arrays):
+        recs = []
+        for pat, freq, birth in zip(arrays["episodic/patterns"][0], arrays["episodic/freqs"][0],
+                                    arrays["episodic/births"][0]):
+            p = np.array(pat, dtype=np.float64)
+            p.setflags(write=False)
+            recs.append(EpisodicRecord(p, int(freq), int(birth)))
+        n_main = int(arrays["episodic/main"][0])
+        self.entries = recs[:n_main]
+        self.queue = deque(recs[n_main:])
+        self._birth = int(arrays["episodic/birth_counter"][0])

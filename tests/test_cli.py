@@ -102,7 +102,9 @@ class TestConfig:
 class TestCliCommands:
     def test_synth_writes_dataset(self, tmp_path, tiny_cfg_file):
         out = str(tmp_path / "out")
-        assert run(["synth", "--config", tiny_cfg_file, "--out", out, "--seed", "3"]) == 0
+        # synth reads no data, so a csv_path it has yet to write is no error
+        assert run(["synth", "--config", tiny_cfg_file, "--out", out, "--seed", "3",
+                    "--set", f"csv_path={out}/synthetic.csv"]) == 0
         assert os.path.exists(os.path.join(out, "synthetic.csv"))
         assert os.path.exists(os.path.join(out, "resolved_config"))
         stats = json.loads(open(os.path.join(out, "dataset_stats.json")).read())
@@ -199,10 +201,10 @@ class TestCliCommands:
     @pytest.mark.parametrize("train_sets,eval_sets,message", [
         ([], ["shared_memory=false"], "(3, 4) != (6, 4) for parameter 'semantic/blocks'"),
         (["use_semantic=false"], ["use_semantic=false", "shared_memory=false"],
-         "'episodic/1/entries/patterns'"),
+         "episodic/patterns is shaped (1, 6, 4), expected (2, records, 4)"),
         ([], ["episodic_size=2"], "capacity 2"),
         ([], ["use_semantic=false"], "does not: 'param/semantic/blocks'"),
-        ([], ["use_episodic=false"], "does not: 'episodic/0/birth_counter'"),
+        ([], ["use_episodic=false"], "does not: 'episodic/birth_counter'"),
     ])
     def test_checkpoint_of_another_config_is_data_error(self, tmp_path, tiny_cfg_file, capsys,
                                                          train_sets, eval_sets, message):
@@ -277,6 +279,7 @@ class TestCliCommands:
         ("synth_length=-5", "synth_length must be positive, got -5"),
         ("synth_channels=-1", "synth_channels must be positive, got -1"),
         ("synth_channels=0", "synth_channels must be positive, got 0"),
+        ("synth_channels=3", "n_channels patterns per episodic update exceed queue_size"),
     ])
     def test_invalid_config_value_is_usage_error(self, tmp_path, tiny_cfg_file, capsys,
                                                  setting, message):
@@ -287,6 +290,56 @@ class TestCliCommands:
         assert err["error"] == "UsageError" and err["exit_code"] == 1
         assert message in err["message"]
         assert not out.exists()
+
+    def test_n_channels_comes_from_the_data(self, tmp_path, tiny_cfg_file):
+        # n_channels = 7 alone would exceed queue_size = 3; the data has 3 channels
+        out = tmp_path / "run"
+        assert run(["train", "--config", tiny_cfg_file, "--out", str(out), "--set",
+                    "n_channels=7", "--set", "synth_channels=3", "--set", "queue_size=3"]) == 0
+        resolved = load_config(str(out / "resolved_config"))
+        assert resolved.n_channels == 3
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert config_hash(resolved) == metrics["config_hash"]
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_csv_is_data_error(self, tmp_path, tiny_cfg_file, capsys, kind):
+        path = tmp_path / "input.csv"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"ch0,ch1\n1.0,\xff\n")
+        out = tmp_path / "run"
+        assert run(["train", "--config", tiny_cfg_file, "--out", str(out),
+                    "--set", f"csv_path={path}", "--set", "dataset=mine"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "DataError" and str(path) in err["message"]
+        assert not out.exists()
+
+    def test_checkpoint_of_the_per_group_layout_is_data_error(self, tmp_path, tiny_cfg_file,
+                                                              capsys):
+        """A checkpoint that keys the episodic store by group and by main/queue part,
+        the layout before whole-store arrays, is refused."""
+        from memdiff import checkpoint
+        out = str(tmp_path / "run")
+        assert run(["train", "--config", tiny_cfg_file, "--out", out, "--seed", "1"]) == 0
+        ckpt = os.path.join(out, "checkpoint.bin")
+        arrays, meta = checkpoint.load(ckpt)
+        main = int(arrays.pop("episodic/main")[0])
+        old = {"episodic/0/birth_counter": arrays.pop("episodic/birth_counter")}
+        for name in ("patterns", "freqs", "births"):
+            column = arrays.pop(f"episodic/{name}")[0]
+            old[f"episodic/0/entries/{name}"] = column[:main]
+            old[f"episodic/0/queue/{name}"] = column[main:]
+        checkpoint.save(ckpt, {**arrays, **old}, meta)
+        capsys.readouterr()
+        assert run(["evaluate", "--config", tiny_cfg_file, "--out", out, "--seed", "1"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "DataError" and err["exit_code"] == 2
+        assert "does not: 'episodic/0/birth_counter'" in err["message"]
 
     @pytest.mark.parametrize("where", ["set", "file"])
     def test_removed_precision_key_is_usage_error(self, tmp_path, tiny_cfg_file, capsys, where):

@@ -88,12 +88,12 @@ class TestRecall:
         for _ in range(4):
             store.update(rng.standard_normal((2 * groups, 3)))
             store.count(store.recall(rng.standard_normal((3 * groups, 3)))[1])
-        before = store.state_arrays("episodic/{}")
-        assert any(f.any() for key, f in before.items() if key.endswith("freqs"))
+        before = store.state_arrays()
+        assert before["episodic/freqs"].any()
         q = rng.standard_normal((2 * groups, 3))
         q[0] = np.nan
         store.recall(q)
-        after = store.state_arrays("episodic/{}")
+        after = store.state_arrays()
         assert before.keys() == after.keys()
         for key in before:
             np.testing.assert_array_equal(before[key], after[key], err_msg=key)
@@ -190,7 +190,7 @@ class TestUpdateEdges:
             store.count(store.recall(rng.standard_normal((3, 2)))[1])
         arrays = store.state_arrays()
         clone = EpisodicStore(dim=2, capacity=4, queue_capacity=2, recall_top_k=2)
-        clone.load_state_arrays(arrays)
+        clone.reader(arrays)()
         for a, b in zip(store.entries, clone.entries):
             np.testing.assert_array_equal(a.pattern, b.pattern)
             assert (a.freq, a.birth) == (b.freq, b.birth)
@@ -209,7 +209,7 @@ class TestUpdateEdges:
         assert store.scores(unit(90)[None]).shape == (1, 2)
         other = EpisodicStore(dim=2, capacity=2, queue_capacity=1, recall_top_k=1)
         other.update(unit(180)[None])
-        store.load_state_arrays(other.state_arrays())
+        store.reader(other.state_arrays())()
         out, _ = store.recall(unit(90)[None])
         np.testing.assert_allclose(out[0], unit(180))
 
@@ -280,9 +280,9 @@ class TestArrayStoreParity:
                 arrays = store.state_arrays()
                 self.same_state(arrays, ref.state_arrays())
                 store = EpisodicStore(dim, n2, n3, top_k)
-                store.load_state_arrays(arrays)
+                store.reader(arrays)()
                 ref = ReferenceEpisodicStore(dim, n2, n3, top_k)
-                ref.load_state_arrays(arrays)
+                ref.restore(arrays)
             self.same_records(store, ref)
             assert len(store.records) == len(ref.records)
 
@@ -303,18 +303,46 @@ class TestZeroNormAndLoadChecks:
         with pytest.raises(NumericError, match="zero-norm block"):
             store.recall(unit(0)[None])
 
+    @staticmethod
+    def refused(arrays, message, groups=1):
+        """Load arrays into a fresh (2, 1)-capacity store: DataError, nothing written."""
+        target = EpisodicStore(dim=2, capacity=2, queue_capacity=1, groups=groups)
+        with pytest.raises(DataError, match=message):
+            target.reader(arrays)
+        assert target.is_empty
+
+    @staticmethod
+    def saved(groups=1):
+        """State of a (2, 1)-capacity store holding two main records per group."""
+        src = EpisodicStore(dim=2, capacity=2, queue_capacity=1, groups=groups)
+        for angle in (0, 20):
+            src.update(np.stack([unit(angle + 90 * g) for g in range(groups)]))
+        return src.state_arrays()
+
     def test_missing_array_is_data_error_naming_it(self):
-        arrays = EpisodicStore(dim=2, capacity=2, queue_capacity=1).state_arrays()
-        del arrays["episodic/queue/births"]
-        with pytest.raises(DataError, match="episodic/queue/births"):
-            EpisodicStore(dim=2, capacity=2, queue_capacity=1).load_state_arrays(arrays)
+        arrays = self.saved()
+        del arrays["episodic/births"]
+        self.refused(arrays, "episodic/births")
 
     def test_pattern_width_mismatch_is_data_error(self):
         src = EpisodicStore(dim=3, capacity=2, queue_capacity=1)
         src.update(np.ones((1, 3)))
-        with pytest.raises(DataError, match="entries/patterns"):
-            EpisodicStore(dim=2, capacity=2, queue_capacity=1).load_state_arrays(
-                src.state_arrays())
+        self.refused(src.state_arrays(), r"episodic/patterns is shaped \(1, 1, 3\)")
+
+    @pytest.mark.parametrize("name,shape,message", [
+        ("patterns", (4, 2), r"episodic/patterns is shaped \(4, 2\), expected \(1, records, 2\)"),
+        ("patterns", (2, 2, 2), r"shaped \(2, 2, 2\), expected \(1, records, 2\)"),
+        ("freqs", (2,), r"episodic/freqs \(2,\) and episodic/births \(1, 2\)"),
+        ("births", (1, 3), r"episodic/births \(1, 3\) do not match"),
+    ])
+    def test_misshapen_columns_are_data_error(self, name, shape, message):
+        arrays = self.saved()
+        arrays[f"episodic/{name}"] = np.zeros(shape, dtype=arrays[f"episodic/{name}"].dtype)
+        self.refused(arrays, message)
+
+    def test_group_count_mismatch_is_data_error(self):
+        self.refused(self.saved(groups=2), r"shaped \(2, 2, 2\), expected \(3, records, 2\)",
+                     groups=3)
 
     @pytest.mark.parametrize("capacity,queue_capacity", [(2, 2), (4, 1)])
     def test_records_past_capacity_are_data_error(self, capacity, queue_capacity):
@@ -323,19 +351,26 @@ class TestZeroNormAndLoadChecks:
             src.update(np.ones((2, 2)))
         target = EpisodicStore(dim=2, capacity=capacity, queue_capacity=queue_capacity)
         with pytest.raises(DataError, match="capacity"):
-            target.load_state_arrays(src.state_arrays())
+            target.reader(src.state_arrays())
         assert target.is_empty
 
     def test_queue_beside_free_main_slots_is_data_error(self):
         # the store only queues once its main slots are full
-        src = EpisodicStore(dim=2, capacity=2, queue_capacity=1)
-        for angle in (0, 40, 80):
-            src.update(unit(angle)[None])
-        arrays = src.state_arrays()
-        for name in ("patterns", "freqs", "births"):
-            arrays[f"episodic/entries/{name}"] = arrays[f"episodic/entries/{name}"][:1]
-        with pytest.raises(DataError, match="main slots are free"):
-            EpisodicStore(dim=2, capacity=2, queue_capacity=1).load_state_arrays(arrays)
+        arrays = self.saved()
+        arrays["episodic/main"] = np.array([1], dtype=np.int64)
+        self.refused(arrays, "main slots are free")
+
+    @pytest.mark.parametrize("name,value,message", [
+        ("main", np.array([3]), "episodic/main is 3, but only 2 records are stored"),
+        ("main", np.array([-1]), "'episodic/main'.*not one nonnegative integer"),
+        ("main", np.array([1, 1]), "'episodic/main'.*not one nonnegative integer"),
+        ("birth_counter", np.array([2.0]), "'episodic/birth_counter'.*not one nonnegative"),
+        ("birth_counter", np.zeros(0, dtype=np.int64), "'episodic/birth_counter'"),
+    ])
+    def test_bad_counter_is_data_error(self, name, value, message):
+        arrays = self.saved()
+        arrays[f"episodic/{name}"] = value
+        self.refused(arrays, message)
 
 
 class TestSelectSpecial:
@@ -398,6 +433,13 @@ class TestGroupParity:
     """n groups in one store against n single-group stores, array for array."""
 
     @staticmethod
+    def group(arrays, j):
+        """Group j of a grouped store's state, as a one-group store saves it: the
+        main count and birth counter are the same in every group."""
+        return {key: value if key in ("episodic/main", "episodic/birth_counter")
+                else value[j:j + 1] for key, value in arrays.items()}
+
+    @staticmethod
     def same_records(got, want):
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -451,32 +493,18 @@ class TestGroupParity:
                 for j, single in enumerate(singles):
                     single.update(new[j::n])
             else:
-                arrays = grouped.state_arrays("episodic/{}")
+                arrays = grouped.state_arrays()
                 for j, single in enumerate(singles):
-                    for key, value in single.state_arrays(f"episodic/{j}").items():
-                        assert arrays[key].dtype == value.dtype, key
-                        np.testing.assert_array_equal(arrays[key], value, err_msg=key)
+                    mine = self.group(arrays, j)
+                    for key, value in single.state_arrays().items():
+                        assert mine[key].dtype == value.dtype, key
+                        np.testing.assert_array_equal(mine[key], value, err_msg=key)
                 grouped = EpisodicStore(dim, n2, n3, top_k, groups=n)
-                grouped.load_state_arrays(arrays, "episodic/{}")
+                grouped.reader(arrays)()
                 singles = [EpisodicStore(dim, n2, n3, top_k) for _ in range(n)]
                 for j, single in enumerate(singles):
-                    single.load_state_arrays(arrays, f"episodic/{j}")
+                    single.reader(self.group(arrays, j))()
             # snapshots list the records group by group
             for part in ("entries", "queue", "records"):
                 self.same_records(getattr(grouped, part),
                                   [rec for single in singles for rec in getattr(single, part)])
-
-    def test_groups_that_disagree_are_data_error(self):
-        src = EpisodicStore(dim=2, capacity=2, queue_capacity=1, groups=2)
-        src.update(np.stack([unit(0), unit(90)]))
-        other = EpisodicStore(dim=2, capacity=2, queue_capacity=1)
-        for angle in (0, 90):
-            other.update(unit(angle)[None])            # two entries, birth counter 2
-        ours = src.state_arrays("episodic/{}")
-        for name, arrays in (
-                ("entries", {**ours, **other.state_arrays("episodic/1")}),
-                ("counter", {**ours, "episodic/1/birth_counter": np.array([7], dtype=np.int64)})):
-            target = EpisodicStore(dim=2, capacity=2, queue_capacity=1, groups=2)
-            with pytest.raises(DataError, match="disagree"):
-                target.load_state_arrays(arrays, "episodic/{}")
-            assert target.is_empty, name

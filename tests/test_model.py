@@ -197,7 +197,7 @@ class TestTrainerBehavior:
     @staticmethod
     def trainer_state(trainer):
         state = {"param/" + k: v for k, v in trainer.model.params.snapshot().items()}
-        state.update(trainer.model.episodic.state_arrays("episodic/{}"))
+        state.update(trainer.model.episodic.state_arrays())
         opt = trainer.opt
         state.update({"step": np.array(trainer.step_count), "adam/t": np.array(opt.t),
                       "adam/m": np.array(opt.m), "adam/v": np.array(opt.v)})
@@ -239,7 +239,7 @@ class TestTrainerBehavior:
     @pytest.mark.parametrize("change,message", [
         ({"trainer/step": np.zeros(0, dtype=np.int64)}, "trainer/step"),
         ({"param/encoder/W0": np.ones(3)}, "encoder/W0"),
-        ({"episodic/0/queue/births": np.zeros(0, dtype=np.int64)}, "episodic/0/queue"),
+        ({"episodic/births": np.zeros(0, dtype=np.int64)}, "episodic/births"),
         ({"adam/t": np.zeros(0, dtype=np.int64)}, "adam/t"),
         ({"adam/m/encoder/b0": np.ones(3)}, "encoder/b0"),
         ({"adam/v/ghost": np.ones(3)}, "adam/v/ghost"),
@@ -286,6 +286,22 @@ class TestTrainerBehavior:
         a = trainer.model.forecast(x0, np.random.default_rng(3))
         b = clone.model.forecast(x0, np.random.default_rng(3))
         np.testing.assert_array_equal(a, b)
+        arrays, _ = checkpoint.load(path)
+        assert sorted(name for name in arrays if name.startswith("episodic/")) == [
+            "episodic/birth_counter", "episodic/births", "episodic/freqs", "episodic/main",
+            "episodic/patterns"]
+        again = tmp_path / "again.bin"
+        clone.save_checkpoint(str(again))
+        assert again.read_bytes() == (tmp_path / "ckpt.bin").read_bytes()
+
+    @pytest.mark.parametrize("substeps", [0, -1])
+    def test_substeps_below_one_is_data_error(self, rng, substeps):
+        trainer = tiny_trainer()
+        x0 = rng.standard_normal((trainer.cfg.lookback, trainer.cfg.n_channels))
+        with pytest.raises(DataError, match=f"got {substeps}"):
+            trainer.model.forecast(x0, rng, substeps=substeps)
+        with pytest.raises(DataError, match=f"got {substeps}"):
+            trainer.evaluate(substeps=substeps)
 
     def test_periodic_checkpoint_during_fit(self, tmp_path):
         trainer = tiny_trainer(epochs=2, checkpoint_every=1)
@@ -307,8 +323,7 @@ class TestTrainerBehavior:
             payloads.append(path.read_bytes())
         assert payloads[0] == payloads[1]
 
-    @pytest.mark.parametrize("drop", ["trainer/step", "param/encoder/W0",
-                                      "episodic/0/birth_counter"])
+    @pytest.mark.parametrize("drop", ["trainer/step", "param/encoder/W0", "episodic/main"])
     def test_checkpoint_missing_array_is_data_error(self, tmp_path, drop):
         trainer = tiny_trainer()
         trainer.fit()

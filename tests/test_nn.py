@@ -298,7 +298,7 @@ class TestParamArena:
         state = {"adam/t": np.array([1], dtype=np.int64)}
         for which in ("m", "v"):
             state.update({f"adam/{which}/{p.id}": np.ones(p.shape) for p in store})
-        opt.load_state_arrays(state)
+        opt.reader(state)()
         with pytest.raises(InvariantError, match="'late'"):
             store.register("late", np.ones(2))
 
@@ -317,7 +317,7 @@ class TestAdamCheckpointFormat:
         loaded.step()   # leaves moments that loading t = 0 must clear
         for pid, vals in start.items():
             stores[0][pid].values[...] = vals
-        loaded.load_state_arrays({"adam/t": np.array([0], dtype=np.int64)})
+        loaded.reader({"adam/t": np.array([0], dtype=np.int64)})()
         assert set(loaded.state_arrays()) == {"adam/t"}
         for store, opt in zip(stores, (loaded, fresh)):
             for p in store:
@@ -337,7 +337,7 @@ class TestAdamCheckpointFormat:
         path = str(tmp_path / "adam.bin")
         checkpoint.save(path, arrays)
         opt = Adam(store, lr=0.01)
-        opt.load_state_arrays(checkpoint.load(path)[0])
+        opt.reader(checkpoint.load(path)[0])()
         state = opt.state_arrays()
         assert set(state) == set(arrays)
         for k, a in arrays.items():
@@ -391,7 +391,7 @@ class TestAdamCheckpointFormat:
         opt, state = self.stepped()
         m, v = opt.m, opt.v
         with pytest.raises(DataError, match=message):
-            opt.load_state_arrays(arrays)
+            opt.reader(arrays)()
         assert opt.t == 2 and opt.m is m and opt.v is v
         after = opt.state_arrays()
         assert set(after) == set(state)
@@ -399,7 +399,7 @@ class TestAdamCheckpointFormat:
             np.testing.assert_array_equal(after[k], state[k])
         fresh = Adam(make_net([3, 4, 2])[0])
         with pytest.raises(DataError, match=message):
-            fresh.load_state_arrays(arrays)
+            fresh.reader(arrays)()
         assert fresh.t == 0 and fresh.m is None and fresh.v is None
 
 
@@ -481,7 +481,7 @@ class TestCheckpoint:
     def saved(tmp_path, meta=None) -> bytes:
         rng = np.random.default_rng(9)
         arrays = {"param/w": rng.standard_normal((4, 3)), "adam/t": np.array([2], dtype=np.int64),
-                  "episodic/0/birth_counter": np.array([5], dtype=np.int64)}
+                  "episodic/birth_counter": np.array([5], dtype=np.int64)}
         path = tmp_path / "good.bin"
         checkpoint.save(str(path), arrays, meta or {"step": 2})
         return path.read_bytes()

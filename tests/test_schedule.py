@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from memdiff import make_schedule, forward_sample, posterior_mean_var
 from memdiff.errors import DataError, InvariantError
-from memdiff.schedule import NoiseSchedule, posterior_coefficients
+from memdiff.schedule import TERMINAL_ALPHA_BAR, NoiseSchedule, posterior_coefficients
 
 
 def bayes_posterior(x0, xk, k, sched):
@@ -37,6 +37,31 @@ class TestMakeSchedule:
         for steps in (1, 2, 4, 25):
             s = make_schedule(steps, kind="linear-scaled")
             assert s.alpha_bar[-1] < 0.05, steps
+
+    def test_linear_scaled_matches_full_bisection(self):
+        """Stopping the bisection at its fixed point keeps every table of the
+        200-halving search it replaced."""
+        for steps in (1, 2, 3, 5, 10, 20, 50):
+            for beta_min, beta_max in ((0.05, 0.55), (1e-4, 0.02), (0.2, 0.2), (0.01, 0.9)):
+                ramp = np.linspace(beta_min, beta_max, steps)
+
+                def terminal(scale):
+                    return float(np.prod(1.0 - np.clip(scale * ramp, 1e-12, 0.999)))
+
+                lo, hi = 1e-9, 1.0
+                while terminal(hi) > TERMINAL_ALPHA_BAR:
+                    hi *= 2.0
+                for _ in range(200):
+                    mid = 0.5 * (lo + hi)
+                    if terminal(mid) > TERMINAL_ALPHA_BAR:
+                        lo = mid
+                    else:
+                        hi = mid
+                want = NoiseSchedule(np.clip(hi * ramp, 1e-12, 0.999))
+                got = make_schedule(steps, "linear-scaled", beta_min, beta_max)
+                for name in ("beta", "alpha_bar", "beta_tilde"):
+                    np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
+                                                  err_msg=f"{name} {steps} {beta_min} {beta_max}")
 
     def test_two_step_hand_arithmetic(self):
         s = make_schedule(2, beta=[0.1, 0.2])
