@@ -9,7 +9,7 @@ import numpy as np
 
 from memdiff import make_schedule, forward_sample, posterior_mean_var
 
-sched = make_schedule(steps=10, kind="linear-scaled")
+sched = make_schedule(steps=10)
 print("default 10-step schedule (terminal alpha_bar solved to 0.02):\n")
 print(sched.to_csv())
 

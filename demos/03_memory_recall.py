@@ -8,7 +8,7 @@ after each update.
 
 import numpy as np
 
-from memdiff import EpisodicStore, ParamStore, SemanticMemory, cosine_score
+from memdiff import EpisodicStore, ParamStore, SemanticMemory
 
 # -- semantic: convex aggregation over all blocks -------------------------
 store = ParamStore()
@@ -22,7 +22,7 @@ mem = SemanticMemory(blocks)
 for query in ([2.0, 0.1], [1.0, 1.0], [-3.0, 0.2]):
     q = np.array([query])
     out, trace = mem.recall(q)
-    scores = [cosine_score(b, q[0]) for b in blocks.values]
+    scores = mem.scores(q)[0]
     print(f"query {query}: scores {np.round(scores, 3)} "
           f"-> weights {np.round(trace.weights[0], 3)} -> recall {np.round(out[0], 3)}")
 

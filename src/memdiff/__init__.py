@@ -7,7 +7,6 @@ to a few-step conditional denoising diffusion model that predicts a
 horizon block from a lookback block.
 """
 
-from .attention import cosine_score
 from .config import TrainConfig, load_config
 from .data import ChannelStats, Dataset, SeriesWindow, SynthSpec, load_csv, split, synth_generate, windows
 from .denoiser import ddim_sample, ddpm_sample, ddpm_step, denoise_predict, step_embedding
@@ -26,10 +25,9 @@ __all__ = [
     "ForecastModel", "GradCheckReport", "InvariantError", "MemdiffError",
     "Mlp", "NoiseSchedule", "NumericError", "ParamStore", "ParamTensor",
     "PreparedData", "SemanticMemory", "SeriesWindow", "StepDraws",
-    "SynthSpec", "TrainConfig", "Trainer", "UsageError",
-    "cosine_score", "ddim_sample", "ddpm_sample", "ddpm_step",
-    "denoise_predict", "draw_step_randomness", "finite_diff_check",
-    "forward_sample", "grid_search", "load_config", "load_csv", "mae",
-    "make_schedule", "mse", "posterior_mean_var", "prepare", "select_special",
-    "split", "step_embedding", "synth_generate", "windows",
+    "SynthSpec", "TrainConfig", "Trainer", "UsageError", "ddim_sample",
+    "ddpm_sample", "ddpm_step", "denoise_predict", "draw_step_randomness",
+    "finite_diff_check", "forward_sample", "grid_search", "load_config",
+    "load_csv", "mae", "make_schedule", "mse", "posterior_mean_var", "prepare",
+    "select_special", "split", "step_embedding", "synth_generate", "windows",
 ]

@@ -59,15 +59,6 @@ def ungroup_rows(grouped: np.ndarray) -> np.ndarray:
     return grouped.swapaxes(0, 1).reshape(-1, *grouped.shape[2:])
 
 
-def cosine_score(block: np.ndarray, query: np.ndarray) -> float:
-    """Cosine similarity of two nonzero vectors, in [-1, 1]."""
-    block = np.asarray(block, dtype=np.float64)
-    query = np.asarray(query, dtype=np.float64)
-    nb = row_norms(block[None, :], "block")[0]
-    nq = row_norms(query[None, :], "query")[0]
-    return float(block @ query / (nb * nq))
-
-
 def cosine(rows: np.ndarray, keys: np.ndarray, key_norms: np.ndarray):
     """Cosine scores of (R, d) channel rows against their group's (G, n, d) keys.
 

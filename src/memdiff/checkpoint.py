@@ -136,7 +136,7 @@ def require(arrays: "dict[str, np.ndarray]", name: str) -> np.ndarray:
         return arrays[name]
     except KeyError:
         raise DataError(f"checkpoint has no array {name!r} "
-                        "(written under another config?)") from None
+                        "(written under another config or an older memdiff?)") from None
 
 
 def counter(arrays: "dict[str, np.ndarray]", name: str) -> int:
@@ -153,4 +153,5 @@ def refuse_extra(arrays: "dict[str, np.ndarray]", prefix: str, own):
     extra = sorted(name for name in arrays if name.startswith(prefix) and name not in own)
     if extra:
         raise DataError(f"checkpoint holds arrays this model does not: "
-                        f"{', '.join(map(repr, extra))} (written under another config?)")
+                        f"{', '.join(map(repr, extra))} "
+                        "(written under another config or an older memdiff?)")

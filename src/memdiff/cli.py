@@ -52,7 +52,6 @@ def build_parser() -> _Parser:
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--substeps", type=int, default=None)
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        dest="overrides", help="config override (repeatable)")
@@ -66,8 +65,7 @@ def _resolve_config(args) -> "tuple[TrainConfig, Dataset | None]":
     """The run's validated config and its CSV dataset (None for synthetic data and for
     synth). n_channels comes from the data, so both are read before any output is written."""
     cfg = load_config(args.config, args.overrides)
-    for key, value in (("seed", args.seed), ("out_dir", args.out), ("threads", args.threads),
-                       ("substeps", args.substeps)):
+    for key, value in (("seed", args.seed), ("out_dir", args.out), ("substeps", args.substeps)):
         if value is not None:
             setattr(cfg, key, value)
     synth = args.command == "synth"   # writes synthetic data and reads none
@@ -77,16 +75,7 @@ def _resolve_config(args) -> "tuple[TrainConfig, Dataset | None]":
     elif cfg.dataset != "synthetic" and not synth:
         raise DataError(f"dataset {cfg.dataset!r} has no csv_path and is not synthetic")
     cfg.n_channels = csv_data.n_channels if csv_data is not None else cfg.synth_channels
-    cfg.validate()
-    if cfg.threads != 1:
-        try:
-            from threadpoolctl import threadpool_limits
-        except ImportError:
-            raise UsageError(f"threads={cfg.threads} needs threadpoolctl, which is not installed; "
-                             "set OPENBLAS_NUM_THREADS / OMP_NUM_THREADS before starting "
-                             "memdiff instead") from None
-        threadpool_limits(limits=cfg.threads)
-    return cfg, csv_data
+    return cfg.validate(), csv_data
 
 
 def _write(path: str, text: str):

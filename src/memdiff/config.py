@@ -2,9 +2,10 @@
 
 Config files are line-oriented ``key = value`` with ``[section]`` headers.
 Values are parsed as JSON scalars/lists when possible (so simple TOML
-files load unchanged) and fall back to bare strings. Every field of
-TrainConfig is addressable; command-line ``--set key=value`` overrides
-win over file values.
+files load unchanged) and fall back to bare strings; each is then converted
+by its field's type, and a value the type cannot take is a UsageError
+naming the key. Every field of TrainConfig is addressable; command-line
+``--set key=value`` overrides win over file values.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import UsageError
-from .schedule import SCHEDULE_KINDS
 
 
 @dataclass
@@ -40,7 +40,6 @@ class TrainConfig:
 
     # [diffusion]
     diffusion_steps: int = 10
-    schedule_kind: str = "linear-scaled"
     beta_min: float = 0.05
     beta_max: float = 0.55
     substeps: int = 1
@@ -74,7 +73,6 @@ class TrainConfig:
 
     # [run]
     seed: int = 0
-    threads: int = 1
     out_dir: str = "out"
 
     # synthetic generator knobs ([synth])
@@ -92,7 +90,7 @@ class TrainConfig:
             "episodic_size": self.episodic_size, "queue_size": self.queue_size,
             "recall_top_k": self.recall_top_k, "batch_size": self.batch_size,
             "embed_dim": self.embed_dim, "checkpoint_every": self.checkpoint_every,
-            "threads": self.threads, "stride_train": self.stride_train,
+            "stride_train": self.stride_train,
         }
         for name, value in positive.items():
             if value < 1:
@@ -123,9 +121,6 @@ class TrainConfig:
             raise UsageError("config: embed_dim must be even")
         if not 1 <= self.substeps <= self.diffusion_steps:
             raise UsageError("config: substeps must lie in 1..diffusion_steps")
-        if self.schedule_kind not in SCHEDULE_KINDS:
-            raise UsageError(f"config: unknown schedule_kind {self.schedule_kind!r}; "
-                             f"choose from {', '.join(SCHEDULE_KINDS)}")
         if self.missing_policy not in ("strict", "ffill"):
             raise UsageError(f"config: unknown missing_policy {self.missing_policy!r}")
         if self.use_episodic and self.shared_memory and self.n_channels > self.queue_size:
@@ -185,6 +180,18 @@ def _as_int(val) -> int:
     return int(val)
 
 
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+
+
+def _as_bool(val) -> bool:
+    """val as a bool: true/false, 0/1 or a word of _BOOL_WORDS in any case, else ValueError."""
+    word = str(val).lower() if isinstance(val, (int, str)) else None   # a bool is an int
+    if word not in _BOOL_WORDS:
+        raise ValueError(val)
+    return _BOOL_WORDS[word]
+
+
 def load_config(path: "str | None", overrides: "list[str] | None" = None) -> TrainConfig:
     """Build a TrainConfig from an optional file plus key=value overrides.
 
@@ -213,14 +220,16 @@ def load_config(path: "str | None", overrides: "list[str] | None" = None) -> Tra
             if key == "split_ratios":
                 val = None if val in (None, "auto") else tuple(_as_int(v) for v in val)
             elif isinstance(current, bool):
-                if isinstance(val, str):
-                    val = val.lower() in ("1", "true", "yes", "on")
-                else:
-                    val = bool(val)
+                val = _as_bool(val)
             elif isinstance(current, int):
                 val = _as_int(val)
             elif isinstance(current, float):
+                if isinstance(val, bool):
+                    raise ValueError(val)
                 val = float(val)
+            elif isinstance(current, str):
+                if not isinstance(val, str):   # quote a number meant as a string
+                    raise ValueError(val)
             elif isinstance(current, list):
                 if not isinstance(val, list):
                     raise UsageError(f"config: {key} expects a list, got {val!r}")
@@ -248,7 +257,6 @@ def resolved_text(cfg: TrainConfig) -> str:
 
 
 def config_hash(cfg: TrainConfig) -> str:
-    """Identity of the run configuration; where it runs (out_dir, threads) is excluded."""
-    lines = [line for line in resolved_text(cfg).splitlines()
-             if not line.startswith(("out_dir", "threads"))]
+    """Identity of the run configuration; where it writes (out_dir) is excluded."""
+    lines = [line for line in resolved_text(cfg).splitlines() if not line.startswith("out_dir")]
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]

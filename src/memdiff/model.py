@@ -87,8 +87,7 @@ class ForecastModel:
         # query bypass is the only conditioning path left: force it on
         self.query_bypass = cfg.condition_uses_query or (
             self.semantic is None and self.episodic is None)
-        self.sched = make_schedule(cfg.diffusion_steps, cfg.schedule_kind,
-                                   cfg.beta_min, cfg.beta_max)
+        self.sched = make_schedule(cfg.diffusion_steps, cfg.beta_min, cfg.beta_max)
 
     @functools.cached_property
     def step_table(self) -> np.ndarray:

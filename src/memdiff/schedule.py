@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DataError, InvariantError
 
-# Terminal signal level solved for by the "linear-scaled" schedule. Must sit
+# Terminal signal level make_schedule solves its ramp for. Must sit
 # below the 0.05 prior-matching bound so y^K is close enough to N(0, I).
 TERMINAL_ALPHA_BAR = 0.02
 PRIOR_MATCHING_BOUND = 0.05
@@ -22,9 +22,6 @@ PRIOR_MATCHING_BOUND = 0.05
 DEFAULT_STEPS = 10
 DEFAULT_BETA_MIN = 0.05
 DEFAULT_BETA_MAX = 0.55
-
-# The ramps make_schedule builds; explicit betas go through its beta argument.
-SCHEDULE_KINDS = ("linear-scaled", "linear")
 
 
 @dataclass(frozen=True)
@@ -81,25 +78,18 @@ class NoiseSchedule:
         return buf.getvalue()
 
 
-def make_schedule(
-    steps: int = DEFAULT_STEPS,
-    kind: str = "linear-scaled",
-    beta_min: float = DEFAULT_BETA_MIN,
-    beta_max: float = DEFAULT_BETA_MAX,
-    beta: "np.ndarray | list[float] | None" = None,
-) -> NoiseSchedule:
+def make_schedule(steps: int = DEFAULT_STEPS, beta_min: float = DEFAULT_BETA_MIN,
+                  beta_max: float = DEFAULT_BETA_MAX,
+                  beta: "np.ndarray | list[float] | None" = None) -> NoiseSchedule:
     """Build a K-step noise schedule.
 
-    Kinds:
-      * ``linear-scaled`` (default): a linear beta ramp from beta_min to
-        beta_max, rescaled by bisection so alpha_bar_K hits
-        TERMINAL_ALPHA_BAR regardless of K. Few-step training needs the
-        aggressive endpoint for the standard-normal prior to hold.
-      * ``linear``: the plain ramp, no endpoint correction.
+    A linear beta ramp from beta_min to beta_max, rescaled by bisection so
+    alpha_bar_K hits TERMINAL_ALPHA_BAR regardless of K. Few-step training
+    needs the aggressive endpoint for the standard-normal prior to hold.
 
-    A ``beta`` sequence, when given, is taken as is whatever the kind. It
-    skips the prior-matching endpoint check so hand-built schedules for
-    tests remain expressible.
+    A ``beta`` sequence, when given, is taken as is. It skips the
+    prior-matching endpoint check so hand-built schedules for tests remain
+    expressible.
     """
     if steps < 1:
         raise DataError(f"steps must be >= 1, got {steps}")
@@ -108,10 +98,6 @@ def make_schedule(
     if not 0.0 < beta_min <= beta_max < 1.0:
         raise DataError(f"need 0 < beta_min <= beta_max < 1, got ({beta_min}, {beta_max})")
     ramp = np.linspace(beta_min, beta_max, steps)
-    if kind == "linear":
-        return NoiseSchedule(ramp)
-    if kind != "linear-scaled":
-        raise DataError(f"unknown schedule kind {kind!r}")
 
     def terminal(scale: float) -> float:
         b = np.clip(scale * ramp, 1e-12, 0.999)

@@ -55,8 +55,7 @@ class SemanticMemory:
     def rejitter(self, rng: np.random.Generator):
         """Re-draw any block whose norm collapsed below the floor."""
         vals = self.blocks.values
-        norms = np.sqrt(np.sum(vals * vals, axis=1))
-        bad = norms < REJITTER_NORM
+        bad = attention.l2_norms(vals) < REJITTER_NORM
         if np.any(bad):
             vals[bad] = rng.standard_normal((int(bad.sum()), vals.shape[1]))
 

@@ -96,7 +96,7 @@ class EvalResult:
 
 
 class Trainer:
-    def __init__(self, cfg: TrainConfig, data: "PreparedData | None" = None):
+    def __init__(self, cfg: TrainConfig, data: PreparedData):
         cfg.validate()
         self.cfg = cfg
         self.data = data
@@ -169,7 +169,7 @@ class Trainer:
         checkpoint_every epochs (and the caller typically saves once more
         at the end).
         """
-        if self.data is None or not self.data.train:
+        if not self.data.train:
             raise DataError("trainer has no training windows")
         cfg = self.cfg
         best_val = np.inf

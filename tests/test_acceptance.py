@@ -33,7 +33,7 @@ def report(criterion: int, ok: bool, detail: str):
 
 def test_criterion_1_forward_process_monte_carlo():
     started = time.perf_counter()
-    sched = make_schedule(10, kind="linear-scaled")
+    sched = make_schedule(10)
     n = 100_000
     rng = np.random.default_rng(2024)
     x = np.full(n, 1.0)

@@ -1,11 +1,13 @@
-import importlib.util
+import dataclasses
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from memdiff.cli import run
+from memdiff.cli import build_parser, run
 from memdiff.config import TrainConfig, config_hash, load_config, parse_config_text, resolved_text
 from memdiff.errors import UsageError
 
@@ -56,7 +58,7 @@ class TestConfig:
         assert vals["enc_hidden"] == [8]
 
     def test_bare_strings_accepted(self):
-        assert parse_config_text("schedule_kind = linear-scaled")["schedule_kind"] == "linear-scaled"
+        assert parse_config_text("missing_policy = ffill")["missing_policy"] == "ffill"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(UsageError, match="unknown key"):
@@ -84,6 +86,15 @@ class TestConfig:
                                  "split_ratios=[7.0, 1, 2]"])
         assert (cfg.epochs, cfg.batch_size, cfg.enc_hidden, cfg.split_ratios) == (2, 4, [8], (7, 1, 2))
         assert all(type(v) is int for v in (cfg.epochs, *cfg.enc_hidden, *cfg.split_ratios))
+
+    @pytest.mark.parametrize("raw,want", [
+        ("true", True), ("false", False), ("1", True), ("0", False), ("YES", True),
+        ("off", False), ('"On"', True), ('"no"', False)])
+    def test_boolean_values(self, raw, want):
+        assert load_config(None, [f"use_episodic={raw}"]).use_episodic is want
+
+    def test_quoted_number_is_a_string(self):
+        assert load_config(None, ['csv_path="5"']).csv_path == "5"
 
     def test_ratios_default_by_dataset(self):
         assert TrainConfig(dataset="ETTh1").ratios() == (3, 1, 2)
@@ -250,13 +261,14 @@ class TestCliCommands:
         ("lr=0", "lr must be positive, got 0.0"),
         ("lr=-1", "lr must be positive, got -1.0"),
         ("lr=nan", "lr must be positive, got nan"),
-        ("threads=0", "threads must be positive, got 0"),
+        ("threads=1", "unknown key 'threads'"),
         ("epochs=-1", "epochs must be nonnegative, got -1"),
         ("max_steps=-1", "max_steps must be nonnegative, got -1"),
         ("patience=-1", "patience must be nonnegative, got -1"),
         ("stride_train=0", "stride_train must be positive, got 0"),
         ("stride_eval=-1", "stride_eval must be nonnegative, got -1"),
-        ("schedule_kind=cosine", "unknown schedule_kind 'cosine'"),
+        ("schedule_kind=cosine", "unknown key 'schedule_kind'"),
+        ("schedule_kind=linear", "unknown key 'schedule_kind'"),
         ("lr=abc", "lr cannot take the value 'abc'"),
         ("epochs=abc", "epochs cannot take the value 'abc'"),
         ("enc_hidden=[\"a\"]", "enc_hidden cannot take the value ['a']"),
@@ -280,6 +292,16 @@ class TestCliCommands:
         ("synth_channels=-1", "synth_channels must be positive, got -1"),
         ("synth_channels=0", "synth_channels must be positive, got 0"),
         ("synth_channels=3", "n_channels patterns per episodic update exceed queue_size"),
+        ("use_episodic=flase", "use_episodic cannot take the value 'flase'"),
+        ("use_episodic=maybe", "use_episodic cannot take the value 'maybe'"),
+        ("use_episodic=null", "use_episodic cannot take the value None"),
+        ("use_episodic=[1]", "use_episodic cannot take the value [1]"),
+        ("use_episodic=0.5", "use_episodic cannot take the value 0.5"),
+        ("use_episodic=2", "use_episodic cannot take the value 2"),
+        ("lr=true", "lr cannot take the value True"),
+        ("csv_path=5", "csv_path cannot take the value 5"),
+        ("out_dir=5", "out_dir cannot take the value 5"),
+        ("dataset=null", "dataset cannot take the value None"),
     ])
     def test_invalid_config_value_is_usage_error(self, tmp_path, tiny_cfg_file, capsys,
                                                  setting, message):
@@ -340,6 +362,7 @@ class TestCliCommands:
         err = json.loads(lines[0])
         assert err["error"] == "DataError" and err["exit_code"] == 2
         assert "does not: 'episodic/0/birth_counter'" in err["message"]
+        assert "(written under another config or an older memdiff?)" in err["message"]
 
     @pytest.mark.parametrize("where", ["set", "file"])
     def test_removed_precision_key_is_usage_error(self, tmp_path, tiny_cfg_file, capsys, where):
@@ -353,14 +376,33 @@ class TestCliCommands:
         assert err["error"] == "UsageError" and err["exit_code"] == 1
         assert "unknown key 'precision'" in err["message"]
 
-    @pytest.mark.skipif(importlib.util.find_spec("threadpoolctl") is not None,
-                        reason="threadpoolctl is installed and applies --threads")
-    def test_threads_without_threadpoolctl_is_usage_error(self, tmp_path, tiny_cfg_file, capsys):
+    def test_threads_flag_is_usage_error(self, tmp_path, tiny_cfg_file, capsys):
+        """BLAS threads come from the environment only; the removed flag is refused."""
         out = tmp_path / "run"
         assert run(["train", "--config", tiny_cfg_file, "--out", str(out), "--threads", "2"]) == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "UsageError" and "OPENBLAS_NUM_THREADS" in err["message"]
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "UsageError" and "--threads" in err["message"]
         assert not out.exists()
+
+    def test_resolved_config_of_an_older_memdiff(self, tmp_path, tiny_cfg_file, capsys):
+        """A snapshot holding the removed schedule_kind and threads keys is refused, and
+        loads again once those two lines are deleted."""
+        current = resolved_text(load_config(tiny_cfg_file))
+        old = current.replace("beta_min =", 'schedule_kind = "linear-scaled"\nbeta_min =')
+        old = old.replace("out_dir =", "threads = 1\nout_dir =")
+        path = tmp_path / "resolved_config"
+        path.write_text(old)
+        out = tmp_path / "run"
+        assert run(["train", "--config", str(path), "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "UsageError" and "unknown key 'schedule_kind'" in err["message"]
+        assert not out.exists()
+        kept = [line for line in old.splitlines()
+                if not line.startswith(("schedule_kind", "threads"))]
+        path.write_text("\n".join(kept) + "\n")
+        assert resolved_text(load_config(str(path))) == current
 
     def test_input_files_not_mutated(self, tmp_path):
         from memdiff.data import dataset_to_csv, synth_generate as gen
@@ -380,3 +422,24 @@ class TestCliCommands:
                     "--set", "batch_size=4", "--out", out])
         assert code == 0
         assert csv_path.read_bytes() == before
+
+
+class TestReadme:
+    """README's lists of config fields and flags track the code."""
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+    def between(self, start: str, end: str) -> str:
+        return self.text.split(start, 1)[1].split(end, 1)[0]
+
+    def test_main_fields_are_the_config_fields(self):
+        bullets = self.between("Main fields and defaults:", "\n## ")
+        names = set(re.findall(r"`([a-z][a-z0-9_]*)`", bullets))
+        assert names == {f.name for f in dataclasses.fields(TrainConfig)}
+
+    def test_flags_line_is_the_parser_options(self):
+        listed = set(re.findall(r"`(--[a-z-]+)", self.between("Flags:", "\n\n")))
+        subparsers = build_parser()._subparsers._group_actions[0].choices.values()
+        options = {opt for sub in subparsers for action in sub._actions
+                   for opt in action.option_strings if opt not in ("-h", "--help")}
+        assert listed == options

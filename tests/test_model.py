@@ -1,9 +1,13 @@
+import io
+import types
+
 import numpy as np
 import pytest
 
 from conftest import tiny_config, tiny_trainer
 
 from memdiff import ForecastModel, checkpoint, draw_step_randomness, finite_diff_check, step_embedding
+from memdiff import ddpm_sample, denoise_predict
 from memdiff.errors import DataError
 
 
@@ -257,6 +261,37 @@ class TestTrainerBehavior:
             trainer.load_checkpoint(path)
         self.assert_unchanged(trainer, before)
 
+    def test_numeric_error_in_loss_aborts_and_is_logged(self, rng):
+        trainer = self.trained_trainer(rng)
+        last = len(trainer.cfg.enc_hidden)   # the encoder's output layer: all queries zero
+        for name in (f"encoder/W{last}", f"encoder/b{last}"):
+            trainer.model.params[name].values[...] = 0.0
+        before = self.trainer_state(trainer)
+        log_stream = io.StringIO()
+        history = trainer.fit(log_stream=log_stream)
+        reason = "loss evaluation failed: zero-norm query vector at index 0"
+        assert history and all(res.aborted and res.reason == reason for res in history)
+        assert log_stream.getvalue().splitlines()[0] == (
+            f"step={trainer.step_count + 1} epoch=0 aborted reason={reason!r}")
+        self.assert_unchanged(trainer, before)
+
+    @pytest.mark.parametrize("maes,epochs_run", [([0.5] * 4, 3), ([4.0, 3.0, 2.0, 1.0], 4)],
+                             ids=["constant", "improving"])
+    def test_early_stop_after_patience_epochs(self, monkeypatch, maes, epochs_run):
+        trainer = tiny_trainer(epochs=4, patience=2, batch_size=64)
+        assert trainer.data.val
+        calls = []
+
+        def evaluate(which):
+            calls.append(which)
+            return types.SimpleNamespace(mae=maes[len(calls) - 1])
+
+        monkeypatch.setattr(trainer, "evaluate", evaluate)
+        trainer.fit()
+        per_epoch = -(-len(trainer.data.train) // trainer.cfg.batch_size)
+        assert calls == ["val"] * epochs_run
+        assert trainer.step_count == epochs_run * per_epoch
+
     def test_one_episodic_update_per_step(self, rng):
         trainer = tiny_trainer()
         cfg = trainer.cfg
@@ -293,6 +328,22 @@ class TestTrainerBehavior:
         again = tmp_path / "again.bin"
         clone.save_checkpoint(str(again))
         assert again.read_bytes() == (tmp_path / "ckpt.bin").read_bytes()
+
+    def test_ancestral_forecast_is_ddpm_sample(self, rng):
+        cfg = tiny_config(ancestral=True)
+        model = seeded_model(cfg)
+        populate_episodic(model, rng)
+        x0 = rng.standard_normal((cfg.lookback, cfg.n_channels))
+        got = model.forecast(x0, np.random.default_rng(8))
+        c, _ = model.condition_for(x0)
+
+        def predict(y_k, k):
+            return denoise_predict(model.den, y_k, model.step_table[k - 1], c)
+
+        want = ddpm_sample(predict, cfg.horizon, cfg.n_channels, model.sched,
+                           np.random.default_rng(8))
+        assert got.shape == (cfg.horizon, cfg.n_channels) and np.isfinite(got).all()
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("substeps", [0, -1])
     def test_substeps_below_one_is_data_error(self, rng, substeps):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -515,6 +517,13 @@ class TestCheckpoint:
             path.write_bytes(blob[:n])
             with pytest.raises(DataError):
                 checkpoint.load(str(path))
+
+    def test_other_version_is_data_error(self, tmp_path):
+        blob = self.saved(tmp_path)
+        path = tmp_path / "v2.bin"
+        path.write_bytes(blob[:4] + struct.pack("<I", checkpoint.VERSION + 1) + blob[8:])
+        with pytest.raises(DataError, match=f"unsupported checkpoint version {checkpoint.VERSION + 1}"):
+            checkpoint.load(str(path))
 
     def test_garbled_metadata_is_data_error(self, tmp_path):
         blob = self.saved(tmp_path)

@@ -30,12 +30,12 @@ class TestMakeSchedule:
         assert s.beta_tilde.tolist() == [0.0]
 
     def test_linear_scaled_endpoint(self):
-        s = make_schedule(10, kind="linear-scaled")
+        s = make_schedule(10)
         assert s.alpha_bar[-1] < 0.05
 
     def test_linear_scaled_endpoint_other_sizes(self):
         for steps in (1, 2, 4, 25):
-            s = make_schedule(steps, kind="linear-scaled")
+            s = make_schedule(steps)
             assert s.alpha_bar[-1] < 0.05, steps
 
     def test_linear_scaled_matches_full_bisection(self):
@@ -58,7 +58,7 @@ class TestMakeSchedule:
                     else:
                         hi = mid
                 want = NoiseSchedule(np.clip(hi * ramp, 1e-12, 0.999))
-                got = make_schedule(steps, "linear-scaled", beta_min, beta_max)
+                got = make_schedule(steps, beta_min, beta_max)
                 for name in ("beta", "alpha_bar", "beta_tilde"):
                     np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
                                                   err_msg=f"{name} {steps} {beta_min} {beta_max}")

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memdiff import ParamStore, SemanticMemory, cosine_score, finite_diff_check
-from memdiff.attention import WEIGHT_EPS, clamp_normalize, top_k
+from memdiff import ParamStore, SemanticMemory, finite_diff_check
+from memdiff.attention import WEIGHT_EPS, clamp_normalize, cosine, l2_norms, top_k
 from memdiff.errors import NumericError
 
 
@@ -15,22 +15,28 @@ def make_memory(n_blocks, dim, seed=0, groups=1):
     return store, SemanticMemory(blocks, groups)
 
 
+def cosine_of(block, query):
+    """attention.cosine of one query row against a one-key group."""
+    keys = np.asarray(block, dtype=np.float64)[None, None]
+    return cosine(np.asarray(query, dtype=np.float64)[None], keys, l2_norms(keys))[1].item()
+
+
 class TestCosineScore:
     def test_self_similarity(self):
         v = np.array([0.3, -2.0, 1.1])
-        assert cosine_score(v, v) == pytest.approx(1.0)
+        assert cosine_of(v, v) == pytest.approx(1.0)
 
     def test_orthogonal(self):
-        assert cosine_score(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        assert cosine_of(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
 
     def test_opposite(self):
-        assert cosine_score(np.array([1.0, 0.0]), np.array([-1.0, 0.0])) == -1.0
+        assert cosine_of(np.array([1.0, 0.0]), np.array([-1.0, 0.0])) == -1.0
 
     def test_zero_norm_errors(self):
         with pytest.raises(NumericError):
-            cosine_score(np.zeros(2), np.array([1.0, 0.0]))
+            cosine_of(np.zeros(2), np.array([1.0, 0.0]))
         with pytest.raises(NumericError):
-            cosine_score(np.array([1.0, 0.0]), np.zeros(2))
+            cosine_of(np.array([1.0, 0.0]), np.zeros(2))
 
 
 class TestRecall:
