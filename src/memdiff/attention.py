@@ -15,6 +15,7 @@ clamp uses the zero subgradient at the kink.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,13 @@ from .errors import InvariantError, NumericError
 
 WEIGHT_EPS = 1e-8
 _NORM_FLOOR = 1e-30
+
+
+def as_rows(x) -> np.ndarray:
+    """x as 2-D float64 rows; an array that already is one is returned as is."""
+    if type(x) is np.ndarray and x.ndim == 2 and x.dtype == np.float64:
+        return x
+    return np.atleast_2d(np.asarray(x, dtype=np.float64))
 
 
 def check_norms(norms: np.ndarray, what: str) -> np.ndarray:
@@ -59,6 +67,14 @@ def ungroup_rows(grouped: np.ndarray) -> np.ndarray:
     return grouped.swapaxes(0, 1).reshape(-1, *grouped.shape[2:])
 
 
+@functools.lru_cache(maxsize=64)
+def group_starts(groups: int, stride: int) -> np.ndarray:
+    """(G, 1, 1) read-only offsets g * stride: a group's first flat row in (G * stride, ...)."""
+    starts = np.arange(0, groups * stride, stride).reshape(groups, 1, 1)
+    starts.setflags(write=False)
+    return starts
+
+
 def cosine(rows: np.ndarray, keys: np.ndarray, key_norms: np.ndarray):
     """Cosine scores of (R, d) channel rows against their group's (G, n, d) keys.
 
@@ -78,24 +94,24 @@ def top_k(scores: np.ndarray, k: int) -> "tuple[np.ndarray, np.ndarray]":
 
     Picks exactly what ``np.argsort(-scores, axis=1, kind="stable")[:, :k]``
     picks, in the same order: ties go to the lowest index. That holds for
-    rows without NaN and for all-NaN rows. k argmax passes, each masking
-    its pick with -inf, cost far less than the full sort when k is small.
-    ``scores`` serves as the scratch: do not read it afterwards.
+    rows without NaN and for all-NaN rows. k argmax passes over a copy,
+    each masking its pick with -inf, cost far less than the full sort when
+    k is small. ``scores`` is left unchanged.
     """
-    scores = np.ascontiguousarray(scores)
-    rows, cols = scores.shape
-    flat = scores.reshape(-1)                 # a view, so masking reaches scores
+    work = scores.copy()                      # C order, so flat views it
+    rows, cols = work.shape
+    flat = work.reshape(-1)
     row_start = np.arange(0, rows * cols, cols)
-    idx = np.empty((rows, k), dtype=np.intp)
-    vals = np.empty((rows, k), dtype=scores.dtype)
+    at = np.empty((rows, k), dtype=np.intp)  # flat positions of the picks
     for j in range(k):
-        col = scores.argmax(axis=1)
-        idx[:, j] = col
-        at = row_start + col
-        vals[:, j] = flat[at]
+        pick = at[:, j]
+        work.argmax(axis=1, out=pick)
+        pick += row_start
         if j + 1 < k:
-            flat[at] = -np.inf
-    return idx, vals
+            flat[pick] = -np.inf
+    vals = scores.reshape(-1).take(at)
+    at -= row_start[:, None]
+    return at, vals
 
 
 def clamp_normalize(scores: np.ndarray):
@@ -113,7 +129,7 @@ class ReadTrace:
 
     rows: np.ndarray        # (G*R', d)
     idx: "np.ndarray | None"   # (G*R', k) picks within the group; None: every key was read
-    keys: np.ndarray        # (G, n, d) shared, or (G, R', k, d) each row's picks
+    keys: np.ndarray        # (G, n, d) shared, or (G, R', k, d) each row's picks, C order
     key_norms: np.ndarray   # (G, 1, n) or (G, R', k), broadcasting like the grouped scores
     scores: np.ndarray      # (G*R', n or k) cosine scores
     weights: np.ndarray     # (G*R', n or k) clamp-normalized scores
@@ -134,6 +150,7 @@ def read(rows: np.ndarray, keys: np.ndarray, key_norms: np.ndarray,
 
     k = None weighs every key of the group; an integer k weighs each row's
     top k, picked by top_k even when k >= n, which fixes the summation order.
+    The picks are gathered by flat row of the (G*n, d) keys.
     """
     groups, n, dim = keys.shape
     grouped, scores, nq = cosine(rows, keys, key_norms)
@@ -142,8 +159,8 @@ def read(rows: np.ndarray, keys: np.ndarray, key_norms: np.ndarray,
         key_norms = key_norms[:, None, :]
     else:
         idx, scores = top_k(scores, k)
-        at = (np.arange(groups)[:, None, None], idx.reshape(groups, -1, k))
-        keys, key_norms = keys[at], key_norms[at]
+        at = idx.reshape(groups, -1, k) + group_starts(groups, n)
+        keys, key_norms = keys.reshape(-1, dim).take(at, axis=0), key_norms.reshape(-1).take(at)
     weights, z = clamp_normalize(scores)
     trace = ReadTrace(grouped.reshape(-1, dim), idx, keys, key_norms, scores, weights, z,
                       nq.ravel())
@@ -166,13 +183,13 @@ def read_backward(trace: ReadTrace, upstream: np.ndarray,
         d_weights = upstream @ keys.swapaxes(-1, -2)
     else:
         d_weights = np.einsum("...d,...kd->...k", upstream, keys)
-    rowdot = np.sum(weights * d_weights, axis=-1, keepdims=True)   # through clamp_normalize
+    rowdot = (weights * d_weights).sum(axis=-1, keepdims=True)      # through clamp_normalize
     d_scores = (d_weights - rowdot) / trace.z.reshape(groups, -1, 1) * (scores > 0.0)
     scaled = d_scores / (nq[..., None] * kn)                        # through the cosine
-    ds_dot = np.sum(d_scores * scores, axis=-1)
-    d_rows = _mix(scaled, keys) - (ds_dot / (nq * nq))[..., None] * rows
+    ds_scores = d_scores * scores
+    d_rows = _mix(scaled, keys) - (ds_scores.sum(axis=-1) / (nq * nq))[..., None] * rows
     if key_grad is not None:
         key_grad += weights.swapaxes(-1, -2) @ upstream
-        ds_dot, kn = np.sum(d_scores * scores, axis=-2), kn[:, 0]
+        ds_dot, kn = ds_scores.sum(axis=-2), kn[:, 0]
         key_grad += scaled.swapaxes(-1, -2) @ rows - (ds_dot / (kn * kn))[..., None] * keys
     return ungroup_rows(d_rows)

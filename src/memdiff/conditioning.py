@@ -77,13 +77,14 @@ def memory_prior(cp: ConditionParams, m_sem: np.ndarray, m_epi: np.ndarray,
     if eps is None:
         return mean, PriorTrace(u, None, None)
     sigma = np.exp(0.5 * cp.log_var_prior.values)
-    return mean + sigma * eps, PriorTrace(u, eps, sigma)
+    mean += sigma * eps
+    return mean, PriorTrace(u, eps, sigma)
 
 
 def memory_prior_backward(cp: ConditionParams, trace: PriorTrace, upstream: np.ndarray):
     """Returns gradient w.r.t. the memory sum (m_e + m_s)."""
     if trace.eps is not None:
-        cp.log_var_prior.grad += 0.5 * np.sum(upstream * trace.eps * trace.sigma, axis=0)
+        cp.log_var_prior.grad += 0.5 * (upstream * trace.eps * trace.sigma).sum(axis=0)
     cp.w_prior.grad += upstream.T @ trace.memory_sum
     return upstream @ cp.w_prior.values
 
@@ -108,9 +109,10 @@ def condition_head(cp: ConditionParams, m: np.ndarray, queries: np.ndarray,
     sigma = None
     if eps is not None:
         sigma = np.exp(0.5 * cp.log_var_cond.values)
-        latent = latent + sigma * eps
+        latent += sigma * eps
     z = np.concatenate([latent, queries], axis=1)
-    c_rows = z @ cp.proj.values.T + cp.proj_bias.values
+    c_rows = z @ cp.proj.values.T
+    c_rows += cp.proj_bias.values
     return c_rows, HeadTrace(m, queries, z, eps, sigma)
 
 
@@ -122,7 +124,7 @@ def condition_head_backward(cp: ConditionParams, trace: HeadTrace, upstream: np.
     d = trace.m.shape[1]
     d_latent, d_queries = dz[:, :d], dz[:, d:]
     if trace.eps is not None:
-        cp.log_var_cond.grad += 0.5 * np.sum(d_latent * trace.eps * trace.sigma, axis=0)
+        cp.log_var_cond.grad += 0.5 * (d_latent * trace.eps * trace.sigma).sum(axis=0)
     cp.w_cond.grad += d_latent.T @ trace.m
     d_m = d_latent @ cp.w_cond.values
     return d_m, d_queries

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import UsageError
@@ -112,6 +113,11 @@ class TrainConfig:
                 raise UsageError(f"config: {name} must be positive, got {value}")
         if self.queue_size > self.episodic_size:
             raise UsageError("config: queue_size must not exceed episodic_size")
+        losses = {"alpha1": self.alpha1, "alpha2": self.alpha2,
+                  "log_var_init": self.log_var_init, "margin": self.margin}
+        for name, value in losses.items():
+            if not math.isfinite(value):
+                raise UsageError(f"config: {name} must be finite, got {value}")
         if self.alpha1 < 0 or self.alpha2 < 0:
             raise UsageError("config: alpha1/alpha2 must be nonnegative")
         if not 0.0 < self.beta_min <= self.beta_max < 1.0:   # also rejects nan

@@ -43,10 +43,10 @@ def denoise_rows(net: Mlp, y_k_rows: np.ndarray, c_rows: np.ndarray,
     return net.forward(x)
 
 
-def denoise_rows_backward(net: Mlp, trace, upstream: np.ndarray, horizon: int):
-    """Returns (d_y_k_rows, d_c_rows); the embedding gradient is discarded."""
-    dx = net.backward(trace, upstream)
-    return dx[:, :horizon], dx[:, horizon:2 * horizon]
+def denoise_rows_backward(net: Mlp, trace, upstream: np.ndarray, horizon: int) -> np.ndarray:
+    """Returns d_c_rows, the gradient w.r.t. the condition rows. The noisy rows and the
+    step embedding are data, so their gradient is never formed."""
+    return net.backward(trace, upstream, slice(horizon, 2 * horizon))
 
 
 def denoise_predict(net: Mlp, y_k: np.ndarray, k_embed: np.ndarray,

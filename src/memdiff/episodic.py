@@ -107,7 +107,7 @@ class EpisodicStore:
 
     def scores(self, queries: np.ndarray) -> np.ndarray:
         """(R, n_records) cosine score matrix; empty store gives zero columns."""
-        queries = np.atleast_2d(queries)
+        queries = attention.as_rows(queries)
         if self.is_empty:
             return np.zeros((queries.shape[0], 0))
         n = self._n_main + self._n_queue
@@ -121,7 +121,7 @@ class EpisodicStore:
         store recalls the zero vector (and no trace). Recall reads the
         store only; ``count`` commits its picks to the frequencies.
         """
-        queries = np.atleast_2d(queries)
+        queries = attention.as_rows(queries)
         if self.is_empty:
             return np.zeros((queries.shape[0], self.dim)), None
         n = self._n_main + self._n_queue
@@ -156,8 +156,7 @@ class EpisodicStore:
         facing eviction. Main-slot frequency counters reset to zero after
         every update. A zero-norm pattern is stored; recall rejects it.
         """
-        new_patterns = attention.group_rows(
-            np.atleast_2d(np.asarray(new_patterns, dtype=np.float64)), self.groups)
+        new_patterns = attention.group_rows(attention.as_rows(new_patterns), self.groups)
         k = new_patterns.shape[1]
         if k == 0:
             return
@@ -172,8 +171,9 @@ class EpisodicStore:
 
         # the queue stays empty until the main slots are full
         n_fill = min(k, self.capacity - self._n_main)
-        self._put(self._n_main, fresh, 0, n_fill)
-        self._n_main += n_fill
+        if n_fill:
+            self._put(self._n_main, fresh, 0, n_fill)
+            self._n_main += n_fill
         if n_fill < k:
             cap, n_new = self.capacity, k - n_fill
             n_pop = max(0, self._n_queue + n_new - self.queue_capacity)
@@ -184,7 +184,7 @@ class EpisodicStore:
             keep = pool[rank[:, :cap]] + self._base            # flat rows, (G, cap)
             self._n_queue -= n_pop
             for col, flat in zip(self._columns, self._flat):
-                col[:, :cap] = flat[keep]
+                col[:, :cap] = flat.take(keep, axis=0)
                 # the surviving queue moves back to make room at the head
                 col[:, cap + n_new:cap + n_new + self._n_queue] = col[:, cap:cap + self._n_queue]
             self._put(cap, fresh, n_fill, k)
@@ -243,9 +243,8 @@ def select_special(batch_losses: np.ndarray, batch_queries: np.ndarray) -> "np.n
     losses = np.asarray(batch_losses, dtype=np.float64)
     if losses.size == 0:
         raise InvariantError("select_special on an empty batch")
-    finite = np.isfinite(losses)
-    if not np.any(finite):
+    masked = np.where(np.isfinite(losses), losses, -np.inf)
+    pick = int(masked.argmax())
+    if masked[pick] == -np.inf:   # no finite loss
         return None
-    masked = np.where(finite, losses, -np.inf)
-    pick = int(np.argmax(masked))
-    return np.asarray(batch_queries[pick], dtype=np.float64).copy()
+    return np.array(batch_queries[pick], dtype=np.float64)

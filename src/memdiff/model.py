@@ -40,14 +40,17 @@ class StepDraws:
 
 
 def draw_step_randomness(rng: np.random.Generator, cfg: TrainConfig, batch: int) -> StepDraws:
-    rows = batch * cfg.n_channels
-    return StepDraws(
-        k=rng.integers(1, cfg.diffusion_steps + 1, size=batch),
-        eps_forward=rng.standard_normal((batch, cfg.horizon, cfg.n_channels)),
-        mask=rng.uniform(0.0, 1.0, size=(batch, cfg.horizon, cfg.n_channels)),
-        eps_prior=rng.standard_normal((rows, cfg.latent_dim)),
-        eps_cond=rng.standard_normal((rows, cfg.latent_dim)),
-    )
+    """The step's draws, in stream order: steps, forward noise, mask, prior then head noise.
+
+    ``random`` draws what ``uniform(0, 1)`` draws, and one (2, rows, d)
+    normal draw is the two latent noises drawn one after the other.
+    """
+    shape = (batch, cfg.horizon, cfg.n_channels)
+    k = rng.integers(1, cfg.diffusion_steps + 1, size=batch)
+    eps_forward = rng.standard_normal(shape)
+    mask = rng.random(shape)
+    eps_prior, eps_cond = rng.standard_normal((2, batch * cfg.n_channels, cfg.latent_dim))
+    return StepDraws(k, eps_forward, mask, eps_prior, eps_cond)
 
 
 @dataclass
@@ -101,8 +104,8 @@ class ForecastModel:
     # -- training loss ----------------------------------------------------
 
     def _channel_rows(self, blocks: np.ndarray) -> np.ndarray:
-        """(B, T, N) time-major blocks to (B*N, T) channel rows."""
-        return np.ascontiguousarray(blocks.transpose(0, 2, 1)).reshape(-1, blocks.shape[1])
+        """(B, T, N) time-major blocks to (B*N, T) channel rows, a copy unless N = 1."""
+        return blocks.transpose(0, 2, 1).reshape(-1, blocks.shape[1])
 
     def condition_rows(self, h_rows: np.ndarray, eps_prior: "np.ndarray | None" = None,
                        eps_cond: "np.ndarray | None" = None):
@@ -145,7 +148,7 @@ class ForecastModel:
 
         x_rows, y_rows, eps_rows, mask_rows = map(
             self._channel_rows, (batch_x, batch_y, draws.eps_forward, draws.mask))
-        k_rows = np.repeat(draws.k, cfg.n_channels)
+        k_rows = draws.k.repeat(cfg.n_channels)
         h_rows, enc_trace = conditioning.encode_rows(self.enc, x_rows)
         c_rows, (sem_trace, epi_trace, prior_trace, head_trace) = self.condition_rows(
             h_rows, draws.eps_prior, draws.eps_cond)
@@ -156,33 +159,35 @@ class ForecastModel:
         c_mix_rows = conditioning.future_mixup(c_rows, y_rows, mask_rows)
         y_k_rows = forward_sample(y_rows, k_rows, eps_rows, self.sched)
         y0_rows, den_trace = denoiser.denoise_rows(
-            self.den, y_k_rows, c_mix_rows, self.step_table[k_rows - 1])
+            self.den, y_k_rows, c_mix_rows, self.step_table.take(k_rows - 1, axis=0))
 
         resid = y0_rows - y_rows
-        per_sample = (resid * resid).reshape(batch, -1).mean(axis=1)
-        l_cond = float(per_sample.mean())
+        # sum / count is what mean computes, without its wrapper
+        per_sample = (resid * resid).reshape(batch, -1).sum(axis=1) / (resid.size // batch)
+        l_cond = float(per_sample.sum() / batch)
         l1 = l1_sum / batch
         l2 = l2_sum / batch
         total = l_cond + cfg.alpha1 * l1 + cfg.alpha2 * l2
 
         if compute_grad:
-            d_y0 = 2.0 * resid / resid.size
-            d_yk_rows, d_cmix_rows = denoiser.denoise_rows_backward(
-                self.den, den_trace, d_y0, cfg.horizon)
-            del d_yk_rows  # y_k depends only on data and frozen noise
-            d_m, d_h = conditioning.condition_head_backward(self.cp, head_trace,
-                                                            mask_rows * d_cmix_rows)
+            d_y0 = resid    # not read again
+            d_y0 *= 2.0
+            d_y0 /= resid.size
+            d_cmix_rows = denoiser.denoise_rows_backward(self.den, den_trace, d_y0, cfg.horizon)
+            d_cmix_rows *= mask_rows   # through the mixup; d_cmix_rows is fresh
+            d_m, d_h = conditioning.condition_head_backward(self.cp, head_trace, d_cmix_rows)
             if not self.query_bypass:
                 d_h = np.zeros_like(d_h)
             d_u = conditioning.memory_prior_backward(self.cp, prior_trace, d_m)
+            # d_h views the head's fresh input gradient, or is zeros: add in place
             if self.semantic is not None:
-                d_h = d_h + self.semantic.recall_backward(sem_trace, d_u)
+                d_h += self.semantic.recall_backward(sem_trace, d_u)
                 if cfg.alpha1 or cfg.alpha2:   # unweighted losses add exact zeros
-                    d_h = d_h + self.semantic.losses_backward(
+                    d_h += self.semantic.losses_backward(
                         loss_trace, cfg.alpha1 / batch, cfg.alpha2 / batch)
             if self.episodic is not None:
-                d_h = d_h + self.episodic.recall_backward(epi_trace, d_u)
-            self.enc.backward(enc_trace, d_h)
+                d_h += self.episodic.recall_backward(epi_trace, d_u)
+            self.enc.backward(enc_trace, d_h, None)   # lookbacks are data
 
         queries = h_rows.reshape(batch, cfg.n_channels, cfg.latent_dim)
         return LossBreakdown(total, l_cond, l1, l2, per_sample, queries, epi_trace)

@@ -149,19 +149,22 @@ def _silu(z):
     return z * s, s
 
 
-def _silu_grad(z, s):
-    """SiLU derivative s (1 + z (1 - s)) at z, given s = sigmoid(z) from the forward pass."""
+def _silu_backward(z, s, g):
+    """g times the SiLU derivative s (1 + z (1 - s)) at z, given s = sigmoid(z) from the
+    forward pass; built in one fresh buffer."""
     d = 1.0 - s
     d *= z
     d += 1.0
     d *= s
+    d *= g
     return d
 
 
-# name -> (forward: z -> (activation, saved), derivative: (z, saved) -> d act / dz)
+# name -> (forward: z -> (activation, saved),
+#          backward: (z, saved, g) -> a fresh g * d act / dz)
 _ACTIVATIONS = {
-    "relu": (lambda z: (np.maximum(z, 0.0), None), lambda z, _: (z > 0.0).astype(z.dtype)),
-    "silu": (_silu, _silu_grad),
+    "relu": (lambda z: (np.maximum(z, 0.0), None), lambda z, _, g: g * (z > 0.0)),
+    "silu": (_silu, _silu_backward),
 }
 
 
@@ -186,6 +189,7 @@ class Mlp:
             raise InvariantError(f"unknown activation {activation!r}")
         self.widths = list(widths)
         self.activation = activation
+        self._act, self._act_backward = _ACTIVATIONS[activation]
         self.weights: "list[ParamTensor]" = []
         self.biases: "list[ParamTensor]" = []
         for i, (n_in, n_out) in enumerate(zip(widths[:-1], widths[1:])):
@@ -200,35 +204,38 @@ class Mlp:
 
     def forward(self, x: np.ndarray) -> "tuple[np.ndarray, list]":
         """x: (n_items, in_width) -> (y: (n_items, out_width), trace)."""
-        x = np.atleast_2d(np.asarray(x))
+        if type(x) is not np.ndarray or x.ndim != 2:
+            x = np.atleast_2d(np.asarray(x))
         if x.shape[1] != self.in_width:
             raise DataError(f"input width {x.shape[1]} != expected {self.in_width}")
-        act, _ = _ACTIVATIONS[self.activation]
         trace = []
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w.values.T + b.values
-            out, saved = (z, None) if i == last else act(z)
+            z = h @ w.values.T
+            z += b.values
+            out, saved = (z, None) if i == last else self._act(z)
             trace.append((h, z, saved))
             h = out
         return h, trace
 
-    def backward(self, trace: list, upstream: np.ndarray) -> np.ndarray:
-        """Accumulate parameter grads; return gradient w.r.t. the input rows."""
+    def backward(self, trace: list, upstream: np.ndarray,
+                 input_cols: "slice | None" = slice(None)) -> "np.ndarray | None":
+        """Accumulate parameter grads; return the gradient w.r.t. the input_cols columns
+        of the input rows, or None when input_cols is None (inputs that are data)."""
         if len(trace) != len(self.weights):
             raise InvariantError("trace does not match this network")
-        _, dact = _ACTIVATIONS[self.activation]
-        g = np.asarray(upstream)
+        g = upstream
         last = len(self.weights) - 1
         for i in range(last, -1, -1):
             h_in, z, saved = trace[i]
             if i != last:
-                g = g * dact(z, saved)
+                g = self._act_backward(z, saved, g)
             self.weights[i].grad += g.T @ h_in
             self.biases[i].grad += g.sum(axis=0)
-            g = g @ self.weights[i].values
-        return g
+            if i:
+                g = g @ self.weights[i].values
+        return None if input_cols is None else g @ self.weights[0].values[:, input_cols]
 
 
 class Adam:

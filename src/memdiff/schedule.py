@@ -35,6 +35,8 @@ class NoiseSchedule:
     alpha: np.ndarray = field(init=False)
     alpha_bar: np.ndarray = field(init=False)
     beta_tilde: np.ndarray = field(init=False)
+    sqrt_alpha_bar: np.ndarray = field(init=False)             # forward_sample's
+    sqrt_one_minus_alpha_bar: np.ndarray = field(init=False)   # two coefficients
 
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=np.float64)
@@ -50,7 +52,8 @@ class NoiseSchedule:
         abar_prev = np.concatenate(([1.0], alpha_bar[:-1]))
         beta_tilde = (1.0 - abar_prev) / (1.0 - alpha_bar) * beta
         for name, table in (("beta", beta), ("alpha", alpha), ("alpha_bar", alpha_bar),
-                            ("beta_tilde", beta_tilde)):
+                            ("beta_tilde", beta_tilde), ("sqrt_alpha_bar", np.sqrt(alpha_bar)),
+                            ("sqrt_one_minus_alpha_bar", np.sqrt(1.0 - alpha_bar))):
             table.setflags(write=False)
             object.__setattr__(self, name, table)
 
@@ -142,8 +145,10 @@ def forward_sample(x0: np.ndarray, k: "int | np.ndarray", noise: np.ndarray,
     lo, hi = k.min(), k.max()
     if lo < 1 or hi > sched.steps:
         raise InvariantError(f"step index {lo if lo < 1 else hi} outside 1..{sched.steps}")
-    abar = sched.alpha_bar[k - 1].reshape(k.shape + (1,) * (x0.ndim - k.ndim))
-    return np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * noise
+    at, shape = k - 1, k.shape + (1,) * (x0.ndim - k.ndim)
+    out = sched.sqrt_alpha_bar.take(at).reshape(shape) * x0
+    out += sched.sqrt_one_minus_alpha_bar.take(at).reshape(shape) * noise
+    return out
 
 
 def posterior_coefficients(k: int, sched: NoiseSchedule) -> "tuple[float, float]":

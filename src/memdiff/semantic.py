@@ -23,10 +23,13 @@ REJITTER_NORM = 1e-8
 
 @dataclass
 class SemanticLossTrace:
-    queries: np.ndarray        # group-major, as in attention.ReadTrace
+    """Rows are group-major, as in attention.ReadTrace."""
+
     nearest: np.ndarray        # per-row parameter row of the most similar block
     second: "np.ndarray | None"
     hinge_active: "np.ndarray | None"
+    d1: np.ndarray             # query minus its nearest block
+    d2: "np.ndarray | None"    # query minus its second-nearest block
 
 
 class SemanticMemory:
@@ -56,7 +59,7 @@ class SemanticMemory:
         """Re-draw any block whose norm collapsed below the floor."""
         vals = self.blocks.values
         bad = attention.l2_norms(vals) < REJITTER_NORM
-        if np.any(bad):
+        if bad.any():
             vals[bad] = rng.standard_normal((int(bad.sum()), vals.shape[1]))
 
     def _keys(self) -> "tuple[np.ndarray, np.ndarray]":
@@ -86,36 +89,33 @@ class SemanticMemory:
         ties to the lowest block index. With a single block the contrastive
         term is 0.
         """
-        # top_k scratches its input, and recall_backward still reads the scores
-        order, _ = attention.top_k(trace.scores.copy(), min(2, self.count))
+        order, _ = attention.top_k(trace.scores, min(2, self.count))
         # block index within the group -> row of the (G*N1, d) parameter
-        order += np.repeat(np.arange(self.groups) * self.count,
-                           len(order) // self.groups)[:, None]
-        queries = trace.rows
+        order = (order.reshape(self.groups, -1, order.shape[1])
+                 + attention.group_starts(self.groups, self.count)).reshape(order.shape)
+        queries, blocks = trace.rows, self.blocks.values
         nearest = order[:, 0]
-        d1 = queries - self.blocks.values[nearest]
-        sq1 = np.sum(d1 * d1, axis=1)
-        l1 = float(np.sum(sq1))
+        d1 = queries - blocks.take(nearest, axis=0)
+        sq1 = (d1 * d1).sum(axis=1)
+        l1 = float(sq1.sum())
         if self.count < 2:
-            return l1, 0.0, SemanticLossTrace(queries, nearest, None, None)
+            return l1, 0.0, SemanticLossTrace(nearest, None, None, d1, None)
         second = order[:, 1]
-        d2 = queries - self.blocks.values[second]
-        sq2 = np.sum(d2 * d2, axis=1)
-        hinge = sq1 - sq2 + margin
+        d2 = queries - blocks.take(second, axis=0)
+        sq2 = (d2 * d2).sum(axis=1)
+        hinge = sq1 - sq2
+        hinge += margin
         active = hinge > 0.0
-        l2 = float(np.sum(hinge[active]))
-        return l1, l2, SemanticLossTrace(queries, nearest, second, active)
+        l2 = float(hinge[active].sum())
+        return l1, l2, SemanticLossTrace(nearest, second, active, d1, d2)
 
     def losses_backward(self, trace: SemanticLossTrace, c1: float, c2: float) -> np.ndarray:
         """Accumulate block grads for c1*L1 + c2*L2; return query gradient."""
-        queries = trace.queries
-        blocks = self.blocks.values
-        d1 = queries - blocks[trace.nearest]
+        d1, d2 = trace.d1, trace.d2
         d_queries = 2.0 * c1 * d1
         np.add.at(self.blocks.grad, trace.nearest, -2.0 * c1 * d1)
         if trace.second is not None and c2 != 0.0:
-            act = trace.hinge_active.astype(queries.dtype)[:, None]
-            d2 = queries - blocks[trace.second]
+            act = trace.hinge_active.astype(d1.dtype)[:, None]
             d_queries += 2.0 * c2 * act * (d1 - d2)
             np.add.at(self.blocks.grad, trace.nearest, -2.0 * c2 * act * d1)
             np.add.at(self.blocks.grad, trace.second, 2.0 * c2 * act * d2)

@@ -47,12 +47,18 @@ def mse(truth: np.ndarray, pred: np.ndarray) -> float:
 
 @dataclass
 class PreparedData:
-    """Chronological splits, normalized with train-segment statistics only."""
+    """Chronological splits, normalized with train-segment statistics only.
+
+    train_spans views the normalized train segment as the train windows'
+    (W, lookback + horizon, N) row spans, without a copy: a batch is one
+    gather from it.
+    """
 
     stats: ChannelStats
     train: "list[SeriesWindow]"
     val: "list[SeriesWindow]"
     test: "list[SeriesWindow]"
+    train_spans: np.ndarray
 
 
 def prepare(cfg: TrainConfig, ds: Dataset) -> PreparedData:
@@ -62,11 +68,13 @@ def prepare(cfg: TrainConfig, ds: Dataset) -> PreparedData:
     segments = split(ds, cfg.ratios(), min_len=span)
     stats = ChannelStats.fit(segments[0])
     normed = [stats.normalize(seg) for seg in segments]
+    spans = np.lib.stride_tricks.sliding_window_view(normed[0], (span, cfg.n_channels))
     return PreparedData(
         stats=stats,
         train=windows(normed[0], cfg.lookback, cfg.horizon, cfg.stride_train),
         val=windows(normed[1], cfg.lookback, cfg.horizon, cfg.eval_stride),
         test=windows(normed[2], cfg.lookback, cfg.horizon, cfg.eval_stride),
+        train_spans=spans[::cfg.stride_train, 0],
     )
 
 
@@ -154,16 +162,19 @@ class Trainer:
 
     # -- loop ----------------------------------------------------------------
 
-    def _batches(self, wins: "list[SeriesWindow]"):
-        order = self._shuffle_rng.permutation(len(wins))
-        bs = self.cfg.batch_size
+    def _batches(self):
+        """Shuffled (lookback, horizon) batches of the train windows, each one gather."""
+        spans = self.data.train_spans
+        order = self._shuffle_rng.permutation(len(spans))
+        bs, lookback = self.cfg.batch_size, self.cfg.lookback
         for lo in range(0, len(order), bs):
-            idx = order[lo:lo + bs]
-            yield (np.stack([wins[i].lookback for i in idx]),
-                   np.stack([wins[i].horizon for i in idx]))
+            batch = spans[order[lo:lo + bs]]
+            yield batch[:, :lookback], batch[:, lookback:]
 
     def fit(self, log_stream=None, checkpoint_path: "str | None" = None) -> "list[StepResult]":
-        """Run the configured epochs (or max_steps) over the training windows.
+        """Run the configured epochs over the training windows, or until max_steps
+        steps have been attempted, counted from the step this trainer is at;
+        aborted steps count too.
 
         With checkpoint_path set, the latest state is written there every
         checkpoint_every epochs (and the caller typically saves once more
@@ -175,13 +186,15 @@ class Trainer:
         best_val = np.inf
         stale = 0
         done = False
+        attempted = self.step_count
         for epoch in range(cfg.epochs):
-            for batch_x, batch_y in self._batches(self.data.train):
+            for batch_x, batch_y in self._batches():
                 res = self.training_step(batch_x, batch_y)
                 self.history.append(res)
+                attempted += 1
                 if log_stream is not None:
                     log_stream.write(self._log_line(epoch, res))
-                if cfg.max_steps and self.step_count >= cfg.max_steps:
+                if cfg.max_steps and attempted >= cfg.max_steps:
                     done = True
                     break
             if checkpoint_path and (epoch + 1) % cfg.checkpoint_every == 0:

@@ -302,6 +302,12 @@ class TestCliCommands:
         ("csv_path=5", "csv_path cannot take the value 5"),
         ("out_dir=5", "out_dir cannot take the value 5"),
         ("dataset=null", "dataset cannot take the value None"),
+        ("alpha1=nan", "alpha1 must be finite, got nan"),
+        ("alpha2=inf", "alpha2 must be finite, got inf"),
+        ("log_var_init=nan", "log_var_init must be finite, got nan"),
+        ("log_var_init=-inf", "log_var_init must be finite, got -inf"),
+        ("margin=nan", "margin must be finite, got nan"),
+        ("margin=inf", "margin must be finite, got inf"),
     ])
     def test_invalid_config_value_is_usage_error(self, tmp_path, tiny_cfg_file, capsys,
                                                  setting, message):

@@ -1,3 +1,4 @@
+import copy
 import io
 import types
 
@@ -8,7 +9,7 @@ from conftest import tiny_config, tiny_trainer
 
 from memdiff import ForecastModel, checkpoint, draw_step_randomness, finite_diff_check, step_embedding
 from memdiff import ddpm_sample, denoise_predict
-from memdiff.errors import DataError
+from memdiff.errors import DataError, NumericError
 
 
 def seeded_model(cfg, seed=0):
@@ -27,6 +28,51 @@ def populate_episodic(model, rng, updates=3):
     for _ in range(updates):
         model.episodic.update(rng.standard_normal((model.cfg.n_channels,
                                                    model.cfg.latent_dim)))
+
+
+class TestStepRewrite:
+    """The step's draws and passes as the rewrite left them: the same draws,
+    and no pass writes into an array it did not allocate."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("batch", [1, 16])
+    def test_draws_equal_the_five_call_draws(self, seed, batch):
+        cfg = tiny_config()
+        got = draw_step_randomness(np.random.default_rng(seed), cfg, batch)
+        rng = np.random.default_rng(seed)
+        block, rows = (batch, cfg.horizon, cfg.n_channels), (batch * cfg.n_channels, cfg.latent_dim)
+        want = [rng.integers(1, cfg.diffusion_steps + 1, size=batch),
+                rng.standard_normal(block), rng.uniform(0.0, 1.0, size=block),
+                rng.standard_normal(rows), rng.standard_normal(rows)]
+        for name, value in zip(("k", "eps_forward", "mask", "eps_prior", "eps_cond"), want):
+            np.testing.assert_array_equal(getattr(got, name), value, err_msg=name)
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"shared_memory": False},
+        {"condition_uses_query": False},
+        {"use_semantic": False, "use_episodic": False},
+        {"n_channels": 1, "synth_channels": 1},    # channel rows view the blocks
+    ])
+    def test_loss_writes_into_no_input_or_parameter(self, overrides, rng):
+        cfg = tiny_config(alpha1=0.3, alpha2=0.2, **overrides)
+        model = seeded_model(cfg, seed=5)
+        populate_episodic(model, rng)
+        # batches arrive as views of one gathered block, as Trainer._batches makes them
+        spans = rng.standard_normal((cfg.batch_size, cfg.lookback + cfg.horizon, cfg.n_channels))
+        batch_x, batch_y = spans[:, :cfg.lookback], spans[:, cfg.lookback:]
+        draws = draw_step_randomness(rng, cfg, cfg.batch_size)
+        seen = [spans.copy()] + [getattr(draws, f).copy() for f in
+                                 ("k", "eps_forward", "mask", "eps_prior", "eps_cond")]
+        params = model.params.snapshot()
+        model.params.zero_grads()
+        model.loss(batch_x, batch_y, draws, compute_grad=True)
+        now = [spans] + [getattr(draws, f) for f in
+                         ("k", "eps_forward", "mask", "eps_prior", "eps_cond")]
+        for before, after in zip(seen, now):
+            np.testing.assert_array_equal(after, before)
+        for pid, values in params.items():
+            np.testing.assert_array_equal(model.params[pid].values, values, err_msg=pid)
 
 
 class TestStepTable:
@@ -291,6 +337,31 @@ class TestTrainerBehavior:
         per_epoch = -(-len(trainer.data.train) // trainer.cfg.batch_size)
         assert calls == ["val"] * epochs_run
         assert trainer.step_count == epochs_run * per_epoch
+
+    def test_max_steps_counts_aborted_steps(self, monkeypatch):
+        trainer = tiny_trainer(epochs=2, max_steps=3)
+
+        def loss(*args, **kwargs):
+            raise NumericError("always")
+
+        monkeypatch.setattr(trainer.model, "loss", loss)
+        history = trainer.fit()
+        assert len(history) == 3 and all(res.aborted for res in history)
+        assert trainer.step_count == 0
+        trainer.step_count = 2    # as if resumed from a checkpoint at step 2
+        assert len(trainer.fit()) == 3 + 1
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_batches_are_the_stacked_windows(self, stride):
+        trainer = tiny_trainer(stride_train=stride, batch_size=7)
+        wins, bs = trainer.data.train, trainer.cfg.batch_size
+        order = copy.deepcopy(trainer._shuffle_rng).permutation(len(wins))
+        batches = list(trainer._batches())
+        assert len(batches) == -(-len(wins) // bs)
+        for lo, (batch_x, batch_y) in zip(range(0, len(wins), bs), batches):
+            idx = order[lo:lo + bs]
+            np.testing.assert_array_equal(batch_x, np.stack([wins[i].lookback for i in idx]))
+            np.testing.assert_array_equal(batch_y, np.stack([wins[i].horizon for i in idx]))
 
     def test_one_episodic_update_per_step(self, rng):
         trainer = tiny_trainer()

@@ -101,6 +101,39 @@ class TestMlpBackward:
         for pid, grad in want.items():
             np.testing.assert_array_equal(store[pid].grad, grad, err_msg=pid)
 
+    @pytest.mark.parametrize("activation", ["relu", "silu"])
+    def test_passes_write_into_no_input_or_parameter(self, activation):
+        store, net = make_net([5, 16, 16, 3], activation, seed=3)
+        rng = np.random.default_rng(9)
+        x, g = rng.standard_normal((7, 5)), rng.standard_normal((7, 3))
+        x_seen, g_seen, params = x.copy(), g.copy(), store.snapshot()
+        _, trace = net.forward(x)
+        for cols in (slice(None), slice(1, 3), None):
+            net.backward(trace, g, cols)
+        np.testing.assert_array_equal(x, x_seen)
+        np.testing.assert_array_equal(g, g_seen)
+        for pid, values in params.items():
+            np.testing.assert_array_equal(store[pid].values, values, err_msg=pid)
+
+    def test_input_cols_select_columns_of_the_input_gradient(self):
+        store, net = make_net([6, 16, 3], "silu", seed=4)
+        rng = np.random.default_rng(10)
+        x, g = rng.standard_normal((9, 6)), rng.standard_normal((9, 3))
+        _, trace = net.forward(x)
+        _, z, s = trace[0]
+        w0, w1 = net.weights[0].values, net.weights[1].values
+        want = ((g @ w1) * (s * (1.0 + z * (1.0 - s)))) @ w0
+        np.testing.assert_allclose(net.backward(trace, g), want, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(net.backward(trace, g, slice(2, 4)), want[:, 2:4],
+                                   rtol=1e-12, atol=1e-14)
+        store.zero_grads()
+        net.backward(trace, g)
+        grads = {p.id: p.grad.copy() for p in store}
+        store.zero_grads()
+        assert net.backward(trace, g, None) is None
+        for p in store:   # the parameter gradients are those of a pass with an input gradient
+            np.testing.assert_array_equal(p.grad, grads[p.id], err_msg=p.id)
+
     def test_input_gradient(self):
         store, net = make_net([3, 5, 2], "silu", seed=7)
         x = np.random.default_rng(8).standard_normal((1, 3))

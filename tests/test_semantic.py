@@ -235,6 +235,13 @@ def test_top_k_picks_what_the_stable_sort_picks(rows, cols, seed):
         np.testing.assert_array_equal(vals, np.take_along_axis(scores, want, axis=1))
 
 
+def test_top_k_leaves_its_scores_unchanged():
+    scores = np.random.default_rng(3).standard_normal((5, 7))
+    seen = scores.copy()
+    top_k(scores, 4)
+    np.testing.assert_array_equal(scores, seen)
+
+
 class TestGroupParity:
     """n groups in one memory against n single-group memories, array for array."""
 
