@@ -16,7 +16,7 @@ from .model import ForecastModel, StepDraws, draw_step_randomness
 from .nn import Adam, GradCheckReport, Mlp, ParamStore, ParamTensor, finite_diff_check
 from .schedule import NoiseSchedule, forward_sample, make_schedule, posterior_mean_var
 from .semantic import SemanticMemory
-from .trainer import PreparedData, Trainer, grid_search, mae, mse, prepare
+from .trainer import PreparedData, Trainer, mae, mse, prepare
 
 __version__ = "0.1.0"
 
@@ -27,7 +27,7 @@ __all__ = [
     "PreparedData", "SemanticMemory", "SeriesWindow", "StepDraws",
     "SynthSpec", "TrainConfig", "Trainer", "UsageError", "ddim_sample",
     "ddpm_sample", "ddpm_step", "denoise_predict", "draw_step_randomness",
-    "finite_diff_check", "forward_sample", "grid_search", "load_config",
-    "load_csv", "mae", "make_schedule", "mse", "posterior_mean_var", "prepare",
-    "select_special", "split", "step_embedding", "synth_generate", "windows",
+    "finite_diff_check", "forward_sample", "load_config", "load_csv", "mae",
+    "make_schedule", "mse", "posterior_mean_var", "prepare", "select_special",
+    "split", "step_embedding", "synth_generate", "windows",
 ]

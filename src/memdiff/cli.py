@@ -126,17 +126,17 @@ def _write_matrix_csv(path: str, matrix: np.ndarray, header: "list[str]"):
 def cmd_train(cfg: TrainConfig, csv_data: "Dataset | None") -> int:
     out = _snapshot(cfg)
     trainer, _ = _prepared_trainer(cfg, csv_data, fit=True, out_dir=out)
-    result = trainer.evaluate("val") if trainer.data.val else trainer.evaluate("test")
+    result = trainer.evaluate("val")
     _write(os.path.join(out, "metrics.json"),
-           metrics_json(result, {"split": "val" if trainer.data.val else "test",
-                                 "config_hash": config_hash(cfg), "seed": cfg.seed}))
+           metrics_json(result, {"split": "val", "config_hash": config_hash(cfg),
+                                 "seed": cfg.seed}))
     return 0
 
 
 def cmd_evaluate(cfg: TrainConfig, csv_data: "Dataset | None") -> int:
     out = _snapshot(cfg)
     trainer, _ = _prepared_trainer(cfg, csv_data, fit=False, out_dir=out)
-    result = trainer.evaluate("test", substeps=cfg.substeps)
+    result = trainer.evaluate("test")
     _write(os.path.join(out, "metrics.json"),
            metrics_json(result, {"split": "test", "config_hash": config_hash(cfg),
                                  "seed": cfg.seed, "substeps": cfg.substeps}))
@@ -148,8 +148,8 @@ def cmd_forecast(cfg: TrainConfig, csv_data: "Dataset | None") -> int:
     trainer, ds = _prepared_trainer(cfg, csv_data, fit=False, out_dir=out)
     stats = trainer.data.stats
     lookback = stats.normalize(ds.values[-cfg.lookback:])
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(5)[4])
-    pred = stats.denormalize(trainer.model.forecast(lookback, rng, cfg.substeps))
+    rng = np.random.default_rng(trainer.forecast_seed)
+    pred = stats.denormalize(trainer.model.forecast(lookback, rng))
     _write_matrix_csv(os.path.join(out, "forecasts.csv"), pred,
                       list(ds.channel_names or [f"ch{j}" for j in range(ds.n_channels)]))
     _write(os.path.join(out, "forecasts.json"), json.dumps(
@@ -186,9 +186,7 @@ def cmd_ablate(cfg: TrainConfig, csv_data: "Dataset | None", variants: str) -> i
 def cmd_export_scores(cfg: TrainConfig, csv_data: "Dataset | None") -> int:
     out = _snapshot(cfg)
     trainer, _ = _prepared_trainer(cfg, csv_data, fit=False, out_dir=out)
-    data = trainer.data
-    window = data.test[0] if data.test else data.train[0]
-    sem, epi = trainer.model.attention_scores(window.lookback)
+    sem, epi = trainer.model.attention_scores(trainer.data.test[0].lookback)
     if sem is not None:
         _write_matrix_csv(os.path.join(out, "scores_semantic.csv"), sem,
                           [f"block{i}" for i in range(sem.shape[1])])

@@ -113,9 +113,9 @@ class TrainConfig:
                 raise UsageError(f"config: {name} must be positive, got {value}")
         if self.queue_size > self.episodic_size:
             raise UsageError("config: queue_size must not exceed episodic_size")
-        losses = {"alpha1": self.alpha1, "alpha2": self.alpha2,
+        finite = {"lr": self.lr, "alpha1": self.alpha1, "alpha2": self.alpha2,
                   "log_var_init": self.log_var_init, "margin": self.margin}
-        for name, value in losses.items():
+        for name, value in finite.items():
             if not math.isfinite(value):
                 raise UsageError(f"config: {name} must be finite, got {value}")
         if self.alpha1 < 0 or self.alpha2 < 0:
@@ -126,7 +126,8 @@ class TrainConfig:
         if self.embed_dim % 2:
             raise UsageError("config: embed_dim must be even")
         if not 1 <= self.substeps <= self.diffusion_steps:
-            raise UsageError("config: substeps must lie in 1..diffusion_steps")
+            raise UsageError(f"config: substeps must lie in 1..diffusion_steps "
+                             f"({self.diffusion_steps}), got {self.substeps}")
         if self.missing_policy not in ("strict", "ffill"):
             raise UsageError(f"config: unknown missing_policy {self.missing_policy!r}")
         if self.use_episodic and self.shared_memory and self.n_channels > self.queue_size:

@@ -200,8 +200,7 @@ class ForecastModel:
         c_rows, _ = self.condition_rows(h)
         return c_rows.T, h
 
-    def forecast(self, x0: np.ndarray, rng: np.random.Generator,
-                 substeps: "int | None" = None) -> np.ndarray:
+    def forecast(self, x0: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Predict the (H, N) horizon for one normalized lookback block."""
         cfg = self.cfg
         c, _ = self.condition_for(x0)
@@ -212,7 +211,7 @@ class ForecastModel:
         if cfg.ancestral:
             return denoiser.ddpm_sample(predict, cfg.horizon, cfg.n_channels, self.sched, rng)
         return denoiser.ddim_sample(predict, cfg.horizon, cfg.n_channels, self.sched,
-                                    cfg.substeps if substeps is None else substeps, rng)
+                                    cfg.substeps, rng)
 
     def attention_scores(self, x0: np.ndarray):
         """(semantic (N, N1) or None, episodic (N, records) or None) for one window.

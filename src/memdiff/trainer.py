@@ -1,10 +1,11 @@
-"""Training orchestration, evaluation, and hyperparameter grid search.
+"""Training orchestration and evaluation.
 
 One training step: freeze the step's randomness, run the loss forward and
 exact backward, clip the global gradient norm, apply Adam, then commit the
 step's episodic recall counts and hardest sample to the store. All random
 streams are spawned from the single run seed, so identical config + seed
-reproduces identical parameters bit for bit.
+reproduces identical parameters bit for bit, and the last of the five
+streams seeds the CLI's forecast past the end of the data.
 """
 
 from __future__ import annotations
@@ -108,11 +109,12 @@ class Trainer:
         cfg.validate()
         self.cfg = cfg
         self.data = data
-        seeds = np.random.SeedSequence(cfg.seed).spawn(4)
+        seeds = np.random.SeedSequence(cfg.seed).spawn(5)
         self.model = ForecastModel(cfg, np.random.default_rng(seeds[0]))
         self._train_rng = np.random.default_rng(seeds[1])
         self._shuffle_rng = np.random.default_rng(seeds[2])
         self._eval_seed = seeds[3]
+        self.forecast_seed = seeds[4]
         self.opt = Adam(self.model.params, lr=cfg.lr)
         self.step_count = 0
         self.incidents: "list[str]" = []
@@ -221,14 +223,13 @@ class Trainer:
 
     # -- evaluation ------------------------------------------------------------
 
-    def evaluate(self, which: str = "test", substeps: "int | None" = None) -> EvalResult:
-        """Forecast every window of a split with the deterministic sampler.
+    def evaluate(self, which: str = "test") -> EvalResult:
+        """Forecast every window of the val or test split with the configured sampler.
 
         Metrics are reported on the normalized scale (the benchmark
         convention) and on the de-normalized raw scale.
         """
-        wins = {"train": self.data.train, "val": self.data.val,
-                "test": self.data.test}[which]
+        wins = {"val": self.data.val, "test": self.data.test}[which]
         if not wins:
             raise DataError(f"empty {which} split")
         rng = np.random.default_rng(self._eval_seed)
@@ -236,7 +237,7 @@ class Trainer:
         sums = np.zeros(4)   # absolute and squared error, normalized then raw
         count = 0
         for win in wins:
-            pred = self.model.forecast(win.lookback, rng, substeps)
+            pred = self.model.forecast(win.lookback, rng)
             sums += (*error_sums(win.horizon, pred),
                      *error_sums(stats.denormalize(win.horizon), stats.denormalize(pred)))
             count += pred.size
@@ -262,25 +263,6 @@ class Trainer:
             write()
         self.step_count = step
         return meta
-
-
-def grid_search(alpha1_grid, alpha2_grid, state_factory) -> "tuple[float, float]":
-    """Exhaustive (alpha1, alpha2) search by validation MAE.
-
-    state_factory(alpha1, alpha2) must return a fitted Trainer (or any
-    object with evaluate('val')). Ties break toward smaller alphas.
-    """
-    pairs = [(float(a1), float(a2)) for a1 in alpha1_grid for a2 in alpha2_grid]
-    if not pairs:
-        raise DataError("empty grid")
-    best = None
-    for a1, a2 in sorted(pairs):
-        trainer = state_factory(a1, a2)
-        val = trainer.evaluate("val").mae
-        key = (val, a1, a2)
-        if best is None or key < best:
-            best = key
-    return best[1], best[2]
 
 
 def metrics_json(result: EvalResult, extra: "dict | None" = None) -> str:

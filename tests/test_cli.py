@@ -50,6 +50,24 @@ def tiny_cfg_file(tmp_path):
     return str(path)
 
 
+def read_matrix_csv(path: str) -> np.ndarray:
+    lines = open(path).read().strip().splitlines()
+    return np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+
+
+def loaded_trainer(cfg_file: str, out: str, *overrides: str):
+    """The Trainer and synthetic dataset that a CLI run under out builds, with
+    out's checkpoint loaded."""
+    from memdiff import SynthSpec, Trainer, prepare, synth_generate
+    cfg = load_config(cfg_file, [f"out_dir={out}", *overrides])
+    ds, _ = synth_generate(SynthSpec(length=cfg.synth_length, channels=cfg.synth_channels,
+                                     noise=cfg.synth_noise, motif_rate=cfg.synth_motif_rate),
+                           cfg.seed)
+    trainer = Trainer(cfg, prepare(cfg, ds))
+    trainer.load_checkpoint(os.path.join(out, "checkpoint.bin"))
+    return trainer, ds
+
+
 class TestConfig:
     def test_parse_sections_and_values(self):
         vals = parse_config_text(TINY)
@@ -145,22 +163,48 @@ class TestCliCommands:
         sidecar = json.loads(open(os.path.join(out, "forecasts.json")).read())
         assert sidecar["substeps"] == 2 and sidecar["seed"] == 1
 
+    @pytest.mark.parametrize("substeps", ["0", "5"])
+    def test_substeps_flag_out_of_range_is_usage_error(self, tmp_path, tiny_cfg_file, capsys,
+                                                       substeps):
+        out = tmp_path / "run"
+        assert run(["forecast", "--config", tiny_cfg_file, "--out", str(out),
+                    "--substeps", substeps]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "UsageError" and err["exit_code"] == 1
+        assert f"got {substeps}" in err["message"]
+        assert not out.exists()
+
+    def test_substeps_reach_evaluate_and_forecast_through_the_config(self, tmp_path,
+                                                                       tiny_cfg_file):
+        out = str(tmp_path / "run")
+        assert run(["train", "--config", tiny_cfg_file, "--out", out, "--seed", "5"]) == 0
+        metrics = {}
+        for substeps in ("1", "2"):
+            assert run(["evaluate", "--config", tiny_cfg_file, "--out", out, "--seed", "5",
+                        "--substeps", substeps]) == 0
+            metrics[substeps] = json.loads(open(os.path.join(out, "metrics.json")).read())
+        assert run(["forecast", "--config", tiny_cfg_file, "--out", out, "--seed", "5",
+                    "--substeps", "2"]) == 0
+        got = read_matrix_csv(os.path.join(out, "forecasts.csv"))
+
+        trainer, ds = loaded_trainer(tiny_cfg_file, out, "seed=5", "substeps=2")
+        want = trainer.evaluate("test").as_dict()
+        assert {key: metrics["2"][key] for key in want} == want
+        assert metrics["1"]["mse"] != metrics["2"]["mse"]
+        stats = trainer.data.stats
+        pred = trainer.model.forecast(stats.normalize(ds.values[-trainer.cfg.lookback:]),
+                                      np.random.default_rng(trainer.forecast_seed))
+        np.testing.assert_array_equal(got, stats.denormalize(pred))
+
     def test_export_scores_match_forward_pass(self, tmp_path, tiny_cfg_file):
         out = str(tmp_path / "run")
         assert run(["train", "--config", tiny_cfg_file, "--out", out, "--seed", "2"]) == 0
         assert run(["export-scores", "--config", tiny_cfg_file, "--out", out,
                     "--seed", "2"]) == 0
-        sem_lines = open(os.path.join(out, "scores_semantic.csv")).read().strip().splitlines()
-        got = np.array([[float(v) for v in line.split(",")] for line in sem_lines[1:]])
+        got = read_matrix_csv(os.path.join(out, "scores_semantic.csv"))
 
         # recompute the same forward pass from the checkpoint
-        from memdiff import Trainer, load_config as lc, prepare, synth_generate, SynthSpec
-        cfg = lc(tiny_cfg_file, [f"out_dir={out}", "seed=2"])
-        ds, _ = synth_generate(SynthSpec(length=cfg.synth_length, channels=cfg.synth_channels,
-                                         noise=cfg.synth_noise, motif_rate=cfg.synth_motif_rate),
-                               cfg.seed)
-        trainer = Trainer(cfg, prepare(cfg, ds))
-        trainer.load_checkpoint(os.path.join(out, "checkpoint.bin"))
+        trainer, _ = loaded_trainer(tiny_cfg_file, out, "seed=2")
         sem, _ = trainer.model.attention_scores(trainer.data.test[0].lookback)
         np.testing.assert_array_equal(got, sem)
 
@@ -261,6 +305,10 @@ class TestCliCommands:
         ("lr=0", "lr must be positive, got 0.0"),
         ("lr=-1", "lr must be positive, got -1.0"),
         ("lr=nan", "lr must be positive, got nan"),
+        ("lr=inf", "lr must be finite, got inf"),
+        # the tiny config has diffusion_steps = 4
+        ("substeps=0", "substeps must lie in 1..diffusion_steps (4), got 0"),
+        ("substeps=5", "substeps must lie in 1..diffusion_steps (4), got 5"),
         ("threads=1", "unknown key 'threads'"),
         ("epochs=-1", "epochs must be nonnegative, got -1"),
         ("max_steps=-1", "max_steps must be nonnegative, got -1"),
@@ -431,7 +479,8 @@ class TestCliCommands:
 
 
 class TestReadme:
-    """README's lists of config fields and flags track the code."""
+    """README's lists of config fields and flags, and the package names it cites, track
+    the code."""
 
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -442,6 +491,13 @@ class TestReadme:
         bullets = self.between("Main fields and defaults:", "\n## ")
         names = set(re.findall(r"`([a-z][a-z0-9_]*)`", bullets))
         assert names == {f.name for f in dataclasses.fields(TrainConfig)}
+
+    def test_package_names_resolve(self):
+        import memdiff
+        names = re.findall(r"`memdiff\.([A-Za-z_]\w*)", self.text)
+        for imported in re.findall(r"^from memdiff import (.+)$", self.text, re.M):
+            names += [name.strip() for name in imported.split(",")]
+        assert names and [name for name in names if not hasattr(memdiff, name)] == []
 
     def test_flags_line_is_the_parser_options(self):
         listed = set(re.findall(r"`(--[a-z-]+)", self.between("Flags:", "\n\n")))

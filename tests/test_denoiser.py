@@ -136,8 +136,9 @@ class TestSamplers:
         ks = sampling_steps(10, 4)
         assert ks[0] == 10 and ks[-1] == 1
         assert all(a > b for a, b in zip(ks, ks[1:]))
-        with pytest.raises(DataError):
-            sampling_steps(10, 11)
+        for substeps in (-1, 0, 11):
+            with pytest.raises(DataError, match=f"got {substeps}"):
+                sampling_steps(10, substeps)
 
     def test_oracle_denoiser_single_jump_exact(self):
         sched = make_schedule(10)

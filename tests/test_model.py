@@ -418,12 +418,16 @@ class TestTrainerBehavior:
 
     @pytest.mark.parametrize("substeps", [0, -1])
     def test_substeps_below_one_is_data_error(self, rng, substeps):
+        # validate() refuses these values; a config mutated after it still
+        # cannot reach the sampler with them, on either route
         trainer = tiny_trainer()
+        assert trainer.model.cfg is trainer.cfg
+        trainer.cfg.substeps = substeps
         x0 = rng.standard_normal((trainer.cfg.lookback, trainer.cfg.n_channels))
         with pytest.raises(DataError, match=f"got {substeps}"):
-            trainer.model.forecast(x0, rng, substeps=substeps)
+            trainer.model.forecast(x0, rng)
         with pytest.raises(DataError, match=f"got {substeps}"):
-            trainer.evaluate(substeps=substeps)
+            trainer.evaluate()
 
     def test_periodic_checkpoint_during_fit(self, tmp_path):
         trainer = tiny_trainer(epochs=2, checkpoint_every=1)
@@ -480,43 +484,6 @@ class TestTrainerBehavior:
         result = trainer.evaluate("test")
         assert 0.0 < result.mae < 10.0
         assert result.n_windows > 0
-
-    def test_grid_search_singleton_and_tie(self):
-        from memdiff.trainer import grid_search
-
-        class Fake:
-            def __init__(self, mae_value):
-                self._mae = mae_value
-
-            def evaluate(self, split):
-                class R:
-                    pass
-
-                r = R()
-                r.mae = self._mae
-                return r
-
-        assert grid_search([0.3], [0.7], lambda a1, a2: Fake(1.0)) == (0.3, 0.7)
-        # constant objective: tie-break toward the smallest pair
-        assert grid_search([0.2, 0.1], [0.4, 0.3], lambda a1, a2: Fake(1.0)) == (0.1, 0.3)
-
-    def test_grid_search_picks_winner(self):
-        from memdiff.trainer import grid_search
-
-        class Fake:
-            def __init__(self, mae_value):
-                self._mae = mae_value
-
-            def evaluate(self, split):
-                class R:
-                    mae = None
-                r = R()
-                r.mae = self._mae
-                return r
-
-        winner = grid_search([0.0, 1.0], [0.0, 1.0],
-                             lambda a1, a2: Fake(0.0 if (a1, a2) == (1.0, 0.0) else 5.0))
-        assert winner == (1.0, 0.0)
 
 
 class TestShapeValidation:
