@@ -19,9 +19,9 @@ import sys
 import numpy as np
 
 from .config import TrainConfig, config_hash, load_config, resolved_text
-from .data import Dataset, SynthSpec, dataset_to_csv, load_csv, synth_generate
+from .data import Dataset, SynthSpec, dataset_to_csv, load_csv, matrix_csv, synth_generate
 from .errors import DataError, MemdiffError, UsageError
-from .trainer import Trainer, metrics_json, prepare
+from .trainer import EvalResult, Trainer, prepare
 
 VARIANTS = {
     "full": {},
@@ -84,8 +84,13 @@ def _write(path: str, text: str):
 
 
 def _snapshot(cfg: TrainConfig) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write(os.path.join(cfg.out_dir, "resolved_config"), resolved_text(cfg))
+    """Create the run's output directory and write resolved_config into it; a directory
+    that cannot be made or written is a usage error, like an unreadable --config."""
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        _write(os.path.join(cfg.out_dir, "resolved_config"), resolved_text(cfg))
+    except OSError as exc:
+        raise UsageError(f"cannot write to output directory {cfg.out_dir}: {exc}") from exc
     return cfg.out_dir
 
 
@@ -115,51 +120,47 @@ def _prepared_trainer(cfg: TrainConfig, csv_data: "Dataset | None", fit: bool,
     return trainer, ds
 
 
-def _write_matrix_csv(path: str, matrix: np.ndarray, header: "list[str]"):
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        for row in np.atleast_2d(matrix):
-            writer.writerow([repr(float(v)) for v in row])
+def _write_metrics(out_dir: str, result: EvalResult, **extra):
+    _write(os.path.join(out_dir, "metrics.json"),
+           json.dumps({**result.as_dict(), **extra}, sort_keys=True))
 
 
-def cmd_train(cfg: TrainConfig, csv_data: "Dataset | None") -> int:
-    out = _snapshot(cfg)
-    trainer, _ = _prepared_trainer(cfg, csv_data, fit=True, out_dir=out)
-    result = trainer.evaluate("val")
-    _write(os.path.join(out, "metrics.json"),
-           metrics_json(result, {"split": "val", "config_hash": config_hash(cfg),
-                                 "seed": cfg.seed}))
-    return 0
+def cmd_train(cfg: TrainConfig, trainer: Trainer, ds: Dataset, out: str):
+    _write_metrics(out, trainer.evaluate("val"), split="val", config_hash=config_hash(cfg),
+                   seed=cfg.seed)
 
 
-def cmd_evaluate(cfg: TrainConfig, csv_data: "Dataset | None") -> int:
-    out = _snapshot(cfg)
-    trainer, _ = _prepared_trainer(cfg, csv_data, fit=False, out_dir=out)
-    result = trainer.evaluate("test")
-    _write(os.path.join(out, "metrics.json"),
-           metrics_json(result, {"split": "test", "config_hash": config_hash(cfg),
-                                 "seed": cfg.seed, "substeps": cfg.substeps}))
-    return 0
+def cmd_evaluate(cfg: TrainConfig, trainer: Trainer, ds: Dataset, out: str):
+    _write_metrics(out, trainer.evaluate("test"), split="test", config_hash=config_hash(cfg),
+                   seed=cfg.seed, substeps=cfg.substeps)
 
 
-def cmd_forecast(cfg: TrainConfig, csv_data: "Dataset | None") -> int:
-    out = _snapshot(cfg)
-    trainer, ds = _prepared_trainer(cfg, csv_data, fit=False, out_dir=out)
+def cmd_forecast(cfg: TrainConfig, trainer: Trainer, ds: Dataset, out: str):
     stats = trainer.data.stats
     lookback = stats.normalize(ds.values[-cfg.lookback:])
     rng = np.random.default_rng(trainer.forecast_seed)
     pred = stats.denormalize(trainer.model.forecast(lookback, rng))
-    _write_matrix_csv(os.path.join(out, "forecasts.csv"), pred,
-                      list(ds.channel_names or [f"ch{j}" for j in range(ds.n_channels)]))
+    _write(os.path.join(out, "forecasts.csv"), matrix_csv(pred, ds.channel_names))
     _write(os.path.join(out, "forecasts.json"), json.dumps(
         {"config_hash": config_hash(cfg), "seed": cfg.seed, "substeps": cfg.substeps},
         sort_keys=True))
-    return 0
 
 
-def cmd_ablate(cfg: TrainConfig, csv_data: "Dataset | None", variants: str) -> int:
-    out = _snapshot(cfg)
+def cmd_export_scores(cfg: TrainConfig, trainer: Trainer, ds: Dataset, out: str):
+    sem, epi = trainer.model.attention_scores(trainer.data.test[0].lookback)
+    if sem is not None:
+        _write(os.path.join(out, "scores_semantic.csv"),
+               matrix_csv(sem, [f"block{i}" for i in range(sem.shape[1])]))
+    if epi is not None and epi.size:
+        _write(os.path.join(out, "scores_episodic.csv"),
+               matrix_csv(epi, [f"record{i}" for i in range(epi.shape[1])]))
+
+
+TRAINER_COMMANDS = {"train": cmd_train, "evaluate": cmd_evaluate, "forecast": cmd_forecast,
+                    "export-scores": cmd_export_scores}
+
+
+def cmd_ablate(cfg: TrainConfig, csv_data: "Dataset | None", variants: str, out: str):
     names = [v.strip() for v in variants.split(",") if v.strip()]
     for name in names:
         if name not in VARIANTS:
@@ -173,49 +174,36 @@ def cmd_ablate(cfg: TrainConfig, csv_data: "Dataset | None", variants: str) -> i
                                        out_dir=vcfg.out_dir)
         result = trainer.evaluate("test")
         rows.append((name, result))
-        _write(os.path.join(vcfg.out_dir, "metrics.json"),
-               metrics_json(result, {"variant": name, "seed": cfg.seed}))
+        _write_metrics(vcfg.out_dir, result, variant=name, seed=cfg.seed)
     with open(os.path.join(out, "ablation.csv"), "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["variant", "mae", "mse", "mae_raw", "mse_raw"])
         for name, r in rows:
             writer.writerow([name, repr(r.mae), repr(r.mse), repr(r.mae_raw), repr(r.mse_raw)])
-    return 0
 
 
-def cmd_export_scores(cfg: TrainConfig, csv_data: "Dataset | None") -> int:
-    out = _snapshot(cfg)
-    trainer, _ = _prepared_trainer(cfg, csv_data, fit=False, out_dir=out)
-    sem, epi = trainer.model.attention_scores(trainer.data.test[0].lookback)
-    if sem is not None:
-        _write_matrix_csv(os.path.join(out, "scores_semantic.csv"), sem,
-                          [f"block{i}" for i in range(sem.shape[1])])
-    if epi is not None and epi.size:
-        _write_matrix_csv(os.path.join(out, "scores_episodic.csv"), epi,
-                          [f"record{i}" for i in range(epi.shape[1])])
-    return 0
-
-
-def cmd_synth(cfg: TrainConfig) -> int:
-    out = _snapshot(cfg)
+def cmd_synth(cfg: TrainConfig, out: str):
     ds, injections = _synthetic(cfg)
     _write(os.path.join(out, "synthetic.csv"), dataset_to_csv(ds))
     _write(os.path.join(out, "synthetic_injections.json"),
            json.dumps([{"channel": c, "start": s, "motif": m} for c, s, m in injections]))
     _write(os.path.join(out, "dataset_stats.json"), ds.stats_json())
-    return 0
 
 
 def run(argv: "list[str] | None" = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg, csv_data = _resolve_config(args)
+        out = _snapshot(cfg)
         if args.command == "synth":
-            return cmd_synth(cfg)
-        if args.command == "ablate":
-            return cmd_ablate(cfg, csv_data, args.variants)
-        return {"train": cmd_train, "evaluate": cmd_evaluate, "forecast": cmd_forecast,
-                "export-scores": cmd_export_scores}[args.command](cfg, csv_data)
+            cmd_synth(cfg, out)
+        elif args.command == "ablate":
+            cmd_ablate(cfg, csv_data, args.variants, out)
+        else:
+            trainer, ds = _prepared_trainer(cfg, csv_data, fit=args.command == "train",
+                                            out_dir=out)
+            TRAINER_COMMANDS[args.command](cfg, trainer, ds, out)
+        return 0
     except MemdiffError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc),
                           "exit_code": exc.exit_code}), file=sys.stderr)

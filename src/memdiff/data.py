@@ -265,10 +265,17 @@ def synth_generate(spec: SynthSpec, seed: int) -> "tuple[Dataset, list[tuple[int
     return ds, injections
 
 
-def dataset_to_csv(ds: Dataset) -> str:
+def matrix_csv(matrix: np.ndarray, header: "tuple[str, ...] | list[str]" = ()) -> str:
+    """A float matrix as CSV text: the header row (ch0, ch1, ... when empty), then one
+    row per matrix row, every value written by repr so it reads back bit for bit."""
+    matrix = np.atleast_2d(matrix)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(ds.channel_names or [f"ch{j}" for j in range(ds.n_channels)])
-    for row in ds.values:
+    writer.writerow(header or [f"ch{j}" for j in range(matrix.shape[1])])
+    for row in matrix:
         writer.writerow([repr(float(v)) for v in row])
     return buf.getvalue()
+
+
+def dataset_to_csv(ds: Dataset) -> str:
+    return matrix_csv(ds.values, ds.channel_names)

@@ -104,16 +104,15 @@ def ddim_sample(predict_fn, horizon: int, n_channels: int, sched: NoiseSchedule,
     """
     y = init_noise(rng, horizon, n_channels)
     ks = _sampling_steps(sched.steps, substeps)
+    signal_scale, noise_scale = sched.sqrt_alpha_bar, sched.sqrt_one_minus_alpha_bar
     for i, k in enumerate(ks):
-        abar_k = sched.alpha_bar[k - 1]
         y0_hat = predict_fn(y, k)
         k_next = ks[i + 1] if i + 1 < len(ks) else 0
         if k_next == 0:
             y = y0_hat
         else:
-            abar_next = sched.alpha_bar[k_next - 1]
-            eps_hat = (y - np.sqrt(abar_k) * y0_hat) / np.sqrt(1.0 - abar_k)
-            y = np.sqrt(abar_next) * y0_hat + np.sqrt(1.0 - abar_next) * eps_hat
+            eps_hat = (y - signal_scale[k - 1] * y0_hat) / noise_scale[k - 1]
+            y = signal_scale[k_next - 1] * y0_hat + noise_scale[k_next - 1] * eps_hat
     return y
 
 
@@ -123,9 +122,7 @@ def ddpm_sample(predict_fn, horizon: int, n_channels: int, sched: NoiseSchedule,
     y = init_noise(rng, horizon, n_channels)
     for k in range(sched.steps, 0, -1):
         y0_hat = predict_fn(y, k)
-        noise = None
-        if k > 1:
-            noise = np.repeat(rng.standard_normal((horizon, 1)), n_channels, axis=1)
+        noise = init_noise(rng, horizon, n_channels) if k > 1 else None
         y = ddpm_step(y, k, y0_hat, sched, noise)
     if y.shape != (horizon, n_channels):
         raise InvariantError("sampler produced a wrong-shaped forecast")

@@ -301,11 +301,12 @@ class Adam:
         """Check a checkpoint's Adam state (DataError if refused); return write(),
         which restores t and, when t > 0, every moment."""
         t = counter(arrays, "adam/t")
+        own = {"adam/t"}
         if t:
             write_m = self.params.reader(arrays, "adam/m/")
             write_v = self.params.reader(arrays, "adam/v/")
-        else:
-            refuse_extra(arrays, "adam/", {"adam/t"})
+            own.update(self.params.named("adam/m/"), self.params.named("adam/v/"))
+        refuse_extra(arrays, "adam/", own)
 
         def write():
             if not t:

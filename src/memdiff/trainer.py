@@ -10,7 +10,6 @@ streams seeds the CLI's forecast past the end of the data.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
@@ -255,17 +254,15 @@ class Trainer:
         checkpoint.save(path, arrays, meta)
 
     def load_checkpoint(self, path: str):
-        """Restore model, optimizer and step count; a refused checkpoint raises
-        DataError before any of them is written."""
+        """Restore model, optimizer and step count; a refused checkpoint, including one
+        holding an array memdiff never writes, raises DataError before any of them is
+        written."""
         arrays, meta = checkpoint.load(path)
         step = checkpoint.counter(arrays, "trainer/step")
+        ours = {name for name in arrays
+                if name == "trainer/step" or name.startswith(("param/", "adam/", "episodic/"))}
+        checkpoint.refuse_extra(arrays, "", ours)
         for write in [self.model.reader(arrays), self.opt.reader(arrays)]:
             write()
         self.step_count = step
         return meta
-
-
-def metrics_json(result: EvalResult, extra: "dict | None" = None) -> str:
-    payload = result.as_dict()
-    payload.update(extra or {})
-    return json.dumps(payload, sort_keys=True)

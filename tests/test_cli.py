@@ -234,6 +234,19 @@ class TestCliCommands:
     def test_unknown_flag(self, capsys):
         assert run(["train", "--frobnicate"]) == 1
 
+    @pytest.mark.parametrize("command", ["synth", "train", "evaluate", "forecast", "ablate",
+                                         "export-scores"])
+    def test_unwritable_output_directory_is_usage_error(self, tmp_path, tiny_cfg_file, capsys,
+                                                        command):
+        a_file = tmp_path / "a_file"   # a regular file as parent: root ignores chmod
+        a_file.write_text("")
+        code = run([command, "--config", tiny_cfg_file, "--out", str(a_file / "out")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1 and len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["error"] == "UsageError" and payload["exit_code"] == 1
+        assert payload["message"].startswith(f"cannot write to output directory {a_file}/out: ")
+
     def test_missing_checkpoint_is_data_error(self, tmp_path, tiny_cfg_file, capsys):
         code = run(["evaluate", "--config", tiny_cfg_file, "--out", str(tmp_path / "none")])
         assert code == 2

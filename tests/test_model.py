@@ -293,7 +293,11 @@ class TestTrainerBehavior:
         ({"adam/t": np.zeros(0, dtype=np.int64)}, "adam/t"),
         ({"adam/m/encoder/b0": np.ones(3)}, "encoder/b0"),
         ({"adam/v/ghost": np.ones(3)}, "adam/v/ghost"),
-    ], ids=["step", "param", "episodic", "adam-t", "moment", "ghost-moment"])
+        ({"junk": np.ones(3)}, "'junk'"),
+        ({"adam/x": np.ones(3)}, "adam/x"),
+        ({"trainer/x": np.ones(3)}, "trainer/x"),
+    ], ids=["step", "param", "episodic", "adam-t", "moment", "ghost-moment", "junk",
+            "adam-extra", "trainer-extra"])
     def test_refused_checkpoint_leaves_trainer_unchanged(self, tmp_path, rng, change, message):
         source = tiny_trainer(seed=4)
         source.fit()
