@@ -35,7 +35,8 @@ def as_rows(x) -> np.ndarray:
 
 def check_norms(norms: np.ndarray, what: str) -> np.ndarray:
     """Return norms unchanged, rejecting numerically zero vectors."""
-    if (norms < _NORM_FLOOR).any():
+    # the ufunc reductions are what .any() and .sum() call, without their Python frames
+    if np.logical_or.reduce(norms < _NORM_FLOOR, axis=None):
         bad = int(np.argmax(norms < _NORM_FLOOR))
         raise NumericError(f"zero-norm {what} vector at index {bad}")
     return norms
@@ -43,7 +44,7 @@ def check_norms(norms: np.ndarray, what: str) -> np.ndarray:
 
 def l2_norms(x: np.ndarray) -> np.ndarray:
     """L2 norms of rows, unchecked."""
-    return np.sqrt((x * x).sum(axis=-1))
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
 def row_norms(x: np.ndarray, what: str) -> np.ndarray:
@@ -118,7 +119,7 @@ def clamp_normalize(scores: np.ndarray):
     """Rows of clamped scores to convex weights: (max(s,0)+eps) / rowsum."""
     pos = np.maximum(scores, 0.0)
     pos += WEIGHT_EPS
-    z = pos.sum(axis=-1)
+    z = np.add.reduce(pos, axis=-1)
     pos /= z[..., None]
     return pos, z
 

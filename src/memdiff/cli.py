@@ -168,13 +168,12 @@ def cmd_ablate(cfg: TrainConfig, csv_data: "Dataset | None", variants: str, out:
     rows = []
     for name in names:
         vcfg = dataclasses.replace(cfg, out_dir=os.path.join(out, name.replace("/", "_")),
-                                   **VARIANTS[name])
-        os.makedirs(vcfg.out_dir, exist_ok=True)
-        trainer, _ = _prepared_trainer(vcfg.validate(), csv_data, fit=True,
-                                       out_dir=vcfg.out_dir)
+                                   **VARIANTS[name]).validate()
+        vout = _snapshot(vcfg)
+        trainer, _ = _prepared_trainer(vcfg, csv_data, fit=True, out_dir=vout)
         result = trainer.evaluate("test")
         rows.append((name, result))
-        _write_metrics(vcfg.out_dir, result, variant=name, seed=cfg.seed)
+        _write_metrics(vout, result, variant=name, seed=cfg.seed)
     with open(os.path.join(out, "ablation.csv"), "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["variant", "mae", "mse", "mae_raw", "mse_raw"])

@@ -92,7 +92,7 @@ def _sampling_steps(steps: int, substeps: int) -> "tuple[int, ...]":
 
 def init_noise(rng: np.random.Generator, horizon: int, n_channels: int) -> np.ndarray:
     """Channel-shared standard-normal start for the reverse process."""
-    return np.repeat(rng.standard_normal((horizon, 1)), n_channels, axis=1)
+    return rng.standard_normal((horizon, 1)).repeat(n_channels, axis=1)
 
 
 def ddim_sample(predict_fn, horizon: int, n_channels: int, sched: NoiseSchedule,

@@ -113,10 +113,16 @@ class SemanticMemory:
         """Accumulate block grads for c1*L1 + c2*L2; return query gradient."""
         d1, d2 = trace.d1, trace.d2
         d_queries = 2.0 * c1 * d1
-        np.add.at(self.blocks.grad, trace.nearest, -2.0 * c1 * d1)
+        rows, terms = [trace.nearest], [-2.0 * c1 * d1]
         if trace.second is not None and c2 != 0.0:
             act = trace.hinge_active.astype(d1.dtype)[:, None]
             d_queries += 2.0 * c2 * act * (d1 - d2)
-            np.add.at(self.blocks.grad, trace.nearest, -2.0 * c2 * act * d1)
-            np.add.at(self.blocks.grad, trace.second, 2.0 * c2 * act * d2)
+            rows += [trace.nearest, trace.second]
+            terms += [-2.0 * c2 * act * d1, 2.0 * c2 * act * d2]
+        # One flat scatter-add, its terms in the order three row-wise ones would
+        # add them; the grad is a C-order view, so reshape(-1) views it too.
+        grad = self.blocks.grad
+        dim = grad.shape[1]
+        at = (np.concatenate(rows)[:, None] * dim + np.arange(dim)).reshape(-1)
+        np.add.at(grad.reshape(-1), at, np.concatenate(terms).reshape(-1))
         return attention.ungroup_rows(self._split(d_queries))

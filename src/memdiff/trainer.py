@@ -26,23 +26,30 @@ from .nn import Adam
 log = logging.getLogger("memdiff.trainer")
 
 
-def error_sums(truth: np.ndarray, pred: np.ndarray) -> "tuple[float, float]":
-    """(sum of |truth - pred|, sum of (truth - pred)^2) over two same-shaped blocks."""
+# Forecast values evaluate holds per block (at least one window): the per-window
+# metric sums run vectorized once per block, in memory bounded by this.
+EVAL_BLOCK = 2 ** 16
+
+
+def window_error_sums(truth: np.ndarray, pred: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """(sum of |truth - pred|, sum of (truth - pred)^2) per window of two same-shaped
+    (..., H, N) blocks, each over the window's H*N values in row-major order."""
     truth, pred = np.asarray(truth), np.asarray(pred)
     if truth.shape != pred.shape:
         raise DataError(f"metric shapes differ: {truth.shape} vs {pred.shape}")
-    diff = np.abs(truth - pred)
-    return diff.sum(), (diff * diff).sum()
+    diff = truth - pred
+    diff = np.abs(diff, out=diff).reshape(*diff.shape[:-2], -1)
+    return diff.sum(axis=-1), (diff * diff).sum(axis=-1)
 
 
 def mae(truth: np.ndarray, pred: np.ndarray) -> float:
-    """Mean absolute error over all observed entries."""
-    return float(error_sums(truth, pred)[0] / np.size(truth))
+    """Mean absolute error over all entries of two same-shaped (H, N) blocks."""
+    return float(window_error_sums(truth, pred)[0] / np.size(truth))
 
 
 def mse(truth: np.ndarray, pred: np.ndarray) -> float:
-    """Mean squared error over all observed entries."""
-    return float(error_sums(truth, pred)[1] / np.size(truth))
+    """Mean squared error over all entries of two same-shaped (H, N) blocks."""
+    return float(window_error_sums(truth, pred)[1] / np.size(truth))
 
 
 @dataclass
@@ -226,21 +233,31 @@ class Trainer:
         """Forecast every window of the val or test split with the configured sampler.
 
         Metrics are reported on the normalized scale (the benchmark
-        convention) and on the de-normalized raw scale.
+        convention) and on the de-normalized raw scale. Each window is
+        forecast by its own model.forecast call, in window order, from one
+        eval stream; the errors are summed per window a block at a time and
+        the windows' sums added in window order.
         """
         wins = {"val": self.data.val, "test": self.data.test}[which]
         if not wins:
             raise DataError(f"empty {which} split")
         rng = np.random.default_rng(self._eval_seed)
         stats = self.data.stats
-        sums = np.zeros(4)   # absolute and squared error, normalized then raw
-        count = 0
-        for win in wins:
-            pred = self.model.forecast(win.lookback, rng)
-            sums += (*error_sums(win.horizon, pred),
-                     *error_sums(stats.denormalize(win.horizon), stats.denormalize(pred)))
-            count += pred.size
-        mae_norm, mse_norm, mae_raw, mse_raw = sums / count
+        size = wins[0].horizon.size
+        per_block = max(1, EVAL_BLOCK // size)
+        preds = np.empty((min(per_block, len(wins)), *wins[0].horizon.shape))
+        sums = np.empty((4, len(wins)))   # absolute and squared error, normalized then raw
+        for lo in range(0, len(wins), per_block):
+            block = wins[lo:lo + per_block]
+            pred = preds[:len(block)]
+            for i, win in enumerate(block):
+                pred[i] = self.model.forecast(win.lookback, rng)
+            truth = np.stack([win.horizon for win in block])
+            sums[:2, lo:lo + len(block)] = window_error_sums(truth, pred)
+            sums[2:, lo:lo + len(block)] = window_error_sums(stats.denormalize(truth),
+                                                             stats.denormalize(pred))
+        # cumsum adds the windows one after another, as a running total would
+        mae_norm, mse_norm, mae_raw, mse_raw = sums.cumsum(axis=1)[:, -1] / (size * len(wins))
         return EvalResult(mae_norm, mse_norm, mae_raw, mse_raw, n_windows=len(wins))
 
     # -- persistence -------------------------------------------------------------

@@ -217,6 +217,12 @@ class TestCliCommands:
         assert lines[0] == "variant,mae,mse,mae_raw,mse_raw"
         names = [line.split(",")[0] for line in lines[1:]]
         assert names == ["full", "w/o-semantic", "w/o-episodic", "w/o-both"]
+        # each variant's directory holds the resolved config it ran under
+        semantic = {name: load_config(os.path.join(out, name.replace("/", "_"),
+                                                   "resolved_config")).use_semantic
+                    for name in names}
+        assert semantic == {"full": True, "w/o-semantic": False, "w/o-episodic": True,
+                            "w/o-both": False}
 
     def test_unknown_variant(self, tmp_path, tiny_cfg_file, capsys):
         code = run(["ablate", "--config", tiny_cfg_file, "--out", str(tmp_path / "x"),
@@ -246,6 +252,17 @@ class TestCliCommands:
         payload = json.loads(err[0])
         assert payload["error"] == "UsageError" and payload["exit_code"] == 1
         assert payload["message"].startswith(f"cannot write to output directory {a_file}/out: ")
+
+    def test_unwritable_variant_directory_is_usage_error(self, tmp_path, tiny_cfg_file, capsys):
+        out = tmp_path / "d"
+        out.mkdir()
+        (out / "full").write_text("")   # the variant's directory is taken by a regular file
+        code = run(["ablate", "--config", tiny_cfg_file, "--out", str(out), "--variants", "full"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1 and len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["error"] == "UsageError" and payload["exit_code"] == 1
+        assert payload["message"].startswith(f"cannot write to output directory {out}/full: ")
 
     def test_missing_checkpoint_is_data_error(self, tmp_path, tiny_cfg_file, capsys):
         code = run(["evaluate", "--config", tiny_cfg_file, "--out", str(tmp_path / "none")])

@@ -490,6 +490,64 @@ class TestTrainerBehavior:
         assert result.n_windows > 0
 
 
+def reference_evaluate(trainer, which):
+    """Trainer.evaluate as a window-by-window loop: one forecast, then a running sum of
+    the four error totals, per window."""
+    from memdiff.trainer import EvalResult
+    wins, stats = getattr(trainer.data, which), trainer.data.stats
+    rng = np.random.default_rng(trainer._eval_seed)
+    sums = np.zeros(4)
+    for win in wins:
+        pred = trainer.model.forecast(win.lookback, rng)
+        norm = np.abs(win.horizon - pred)
+        raw = np.abs(stats.denormalize(win.horizon) - stats.denormalize(pred))
+        sums += (norm.sum(), (norm * norm).sum(), raw.sum(), (raw * raw).sum())
+    return EvalResult(*(sums / (len(wins) * pred.size)), n_windows=len(wins))
+
+
+class TestBlockwiseEvaluate:
+    """evaluate's block-wise sums against the window-by-window loop, bit for bit."""
+
+    @pytest.mark.parametrize("sampler", [{}, {"substeps": 3}, {"ancestral": True}])
+    @pytest.mark.parametrize("stride_eval", [0, 1])   # 0: stride H
+    @pytest.mark.parametrize("per_block", [None, 1, 6])   # None: every window in one block
+    def test_matches_window_by_window_reference(self, monkeypatch, sampler, stride_eval,
+                                                per_block):
+        import memdiff.trainer
+        # 16 values per window: more than one pass of the pairwise sum's 8 lanes
+        trainer = tiny_trainer(horizon=8, stride_eval=stride_eval, max_steps=6, **sampler)
+        trainer.fit()
+        size = trainer.cfg.horizon * trainer.cfg.n_channels
+        windows = len(trainer.data.test)
+        if per_block is None:
+            assert windows < memdiff.trainer.EVAL_BLOCK // size
+        else:   # blocks of per_block windows and 3 spare values; the last block short
+            monkeypatch.setattr(memdiff.trainer, "EVAL_BLOCK", per_block * size + 3)
+            assert windows > per_block and (windows % per_block or per_block == 1)
+        for which in ("val", "test"):
+            assert trainer.evaluate(which) == reference_evaluate(trainer, which)
+
+    def test_one_forecast_call_per_window_in_order(self, monkeypatch):
+        # the benchmark's forecast workload counts and times evaluate's windows by
+        # wrapping the model instance's forecast attribute
+        import memdiff.trainer
+        trainer = tiny_trainer(stride_eval=1)
+        monkeypatch.setattr(memdiff.trainer, "EVAL_BLOCK", 7 * trainer.data.test[0].horizon.size)
+        calls = []
+        inner = trainer.model.forecast
+
+        def forecast(x0, rng):
+            calls.append((x0, rng))
+            return inner(x0, rng)
+
+        trainer.model.forecast = forecast
+        result = trainer.evaluate("test")
+        wins = trainer.data.test
+        assert result.n_windows == len(calls) == len(wins) > 7
+        assert all(x0 is win.lookback for (x0, _), win in zip(calls, wins))
+        assert len({id(rng) for _, rng in calls}) == 1
+
+
 class TestShapeValidation:
     def test_wrong_lookback_shape_rejected(self, rng):
         cfg = tiny_config()

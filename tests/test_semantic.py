@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memdiff import ParamStore, SemanticMemory, finite_diff_check
-from memdiff.attention import WEIGHT_EPS, clamp_normalize, cosine, l2_norms, top_k
+from memdiff.attention import WEIGHT_EPS, clamp_normalize, cosine, l2_norms, top_k, ungroup_rows
 from memdiff.errors import NumericError
 
 
@@ -185,6 +185,32 @@ class TestLosses:
                 lm = mem.losses(mem.recall(qm)[1], 0.8)
                 fd = (c1 * (lp[0] - lm[0]) + c2 * (lp[1] - lm[1])) / (2 * h)
                 np.testing.assert_allclose(dq[r, i], fd, rtol=1e-5, atol=1e-8)
+
+    @pytest.mark.parametrize("groups", [1, 3])
+    @pytest.mark.parametrize("c2", [0.0, 0.4])
+    def test_backward_matches_row_wise_scatter_adds(self, groups, c2):
+        # the row-wise losses_backward: three 2-D np.add.at, nearest*c1, nearest*c2, second*c2
+        store, mem = make_memory(3, 4, seed=21, groups=groups)
+        rng = np.random.default_rng(22)
+        q = rng.standard_normal((8 * groups, 4))
+        q[4 * groups:] = q[:4 * groups]          # every picked row repeats
+        _, _, trace = mem.losses(mem.recall(q)[1], margin=10.0)
+        assert trace.hinge_active.any() and not trace.hinge_active.all()
+        start = rng.standard_normal(store["semantic/blocks"].grad.shape)
+        store["semantic/blocks"].grad[...] = start
+        c1 = 0.7
+        dq = mem.losses_backward(trace, c1, c2)
+
+        want_grad, d1, d2 = start.copy(), trace.d1, trace.d2
+        want_dq = 2.0 * c1 * d1
+        np.add.at(want_grad, trace.nearest, -2.0 * c1 * d1)
+        if c2 != 0.0:
+            act = trace.hinge_active.astype(d1.dtype)[:, None]
+            want_dq += 2.0 * c2 * act * (d1 - d2)
+            np.add.at(want_grad, trace.nearest, -2.0 * c2 * act * d1)
+            np.add.at(want_grad, trace.second, 2.0 * c2 * act * d2)
+        np.testing.assert_array_equal(store["semantic/blocks"].grad, want_grad)
+        np.testing.assert_array_equal(dq, ungroup_rows(mem._split(want_dq)))
 
 
 class TestUpdateDynamics:
