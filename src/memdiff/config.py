@@ -118,6 +118,13 @@ class TrainConfig:
         for name, value in finite.items():
             if not math.isfinite(value):
                 raise UsageError(f"config: {name} must be finite, got {value}")
+        if not 0.0 <= self.synth_noise < math.inf:   # also rejects nan
+            raise UsageError(f"config: synth_noise must be finite and nonnegative, "
+                             f"got {self.synth_noise}")
+        # a rate of 1 already plants a motif at every free position of a channel
+        if not 0.0 <= self.synth_motif_rate <= 1.0:   # also rejects nan
+            raise UsageError(f"config: synth_motif_rate must lie in [0, 1], "
+                             f"got {self.synth_motif_rate}")
         if self.alpha1 < 0 or self.alpha2 < 0:
             raise UsageError("config: alpha1/alpha2 must be nonnegative")
         if not 0.0 < self.beta_min <= self.beta_max < 1.0:   # also rejects nan

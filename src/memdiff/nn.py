@@ -29,7 +29,7 @@ class ParamTensor:
     def __init__(self, id: str, values: np.ndarray):
         self.id = id
         self.values = np.asarray(values)
-        self.grad = np.zeros_like(self.values)
+        self.grad = np.zeros(self.values.shape)   # calloc'd: untouched until written
 
     @property
     def shape(self):

@@ -103,8 +103,9 @@ def make_schedule(steps: int = DEFAULT_STEPS, beta_min: float = DEFAULT_BETA_MIN
     ramp = np.linspace(beta_min, beta_max, steps)
 
     def terminal(scale: float) -> float:
-        b = np.clip(scale * ramp, 1e-12, 0.999)
-        return float(np.prod(1.0 - b))
+        # np.clip and np.prod by their ufuncs, without the wrappers' per-call checks
+        b = np.minimum(np.maximum(scale * ramp, 1e-12), 0.999)
+        return float(np.multiply.reduce(1.0 - b))
 
     # terminal() decreases monotonically in scale; bracket then bisect.
     lo, hi = 1e-9, 1.0

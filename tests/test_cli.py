@@ -386,6 +386,13 @@ class TestCliCommands:
         ("log_var_init=-inf", "log_var_init must be finite, got -inf"),
         ("margin=nan", "margin must be finite, got nan"),
         ("margin=inf", "margin must be finite, got inf"),
+        ("synth_noise=nan", "synth_noise must be finite and nonnegative, got nan"),
+        ("synth_noise=inf", "synth_noise must be finite and nonnegative, got inf"),
+        ("synth_noise=-1", "synth_noise must be finite and nonnegative, got -1.0"),
+        ("synth_motif_rate=inf", "synth_motif_rate must lie in [0, 1], got inf"),
+        ("synth_motif_rate=nan", "synth_motif_rate must lie in [0, 1], got nan"),
+        ("synth_motif_rate=-0.5", "synth_motif_rate must lie in [0, 1], got -0.5"),
+        ("synth_motif_rate=1.5", "synth_motif_rate must lie in [0, 1], got 1.5"),
     ])
     def test_invalid_config_value_is_usage_error(self, tmp_path, tiny_cfg_file, capsys,
                                                  setting, message):
@@ -395,6 +402,17 @@ class TestCliCommands:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "UsageError" and err["exit_code"] == 1
         assert message in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", ["synth_motif_rate=inf", "synth_motif_rate=nan",
+                                         "synth_noise=nan", "synth_noise=-1"])
+    def test_synth_refuses_a_bad_setting_before_writing(self, tmp_path, tiny_cfg_file, capsys,
+                                                        setting):
+        out = tmp_path / "run"
+        assert run(["synth", "--config", tiny_cfg_file, "--out", str(out),
+                    "--set", setting]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "UsageError" and setting.split("=")[0] in err["message"]
         assert not out.exists()
 
     def test_n_channels_comes_from_the_data(self, tmp_path, tiny_cfg_file):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from memdiff import ChannelStats, SynthSpec, split, synth_generate, windows
-from memdiff.data import Dataset, dataset_to_csv, load_csv, loads_csv
+from memdiff.data import Dataset, dataset_to_csv, load_csv, loads_csv, surprise_motifs
 from memdiff.errors import DataError
 
 
@@ -127,6 +127,76 @@ class TestWindows:
     def test_too_short_rejected(self):
         with pytest.raises(DataError):
             windows(self.seg(11), 8, 4, 1)
+
+
+def per_motif_synth(spec: SynthSpec, seed: int):
+    """synth_generate as it drew each planted motif's type: one rng.choice per motif.
+    Returns the values, the injections and the generator after the last draw."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(spec.length, dtype=np.float64)
+    values = np.zeros((spec.length, spec.channels))
+    for period, amp in spec.sinusoids:
+        for j in range(spec.channels):
+            phase = 2.0 * np.pi * spec.channel_phase * j
+            values[:, j] += amp * np.sin(2.0 * np.pi * t / period + phase)
+    library = spec.motif_library(rng)
+    injections = []
+    if library and spec.motif_rate > 0.0:
+        n_inject = int(round(spec.motif_rate * spec.length))
+        longest = max(len(m) for m in library)
+        positions = np.arange(0, spec.length - longest)
+        for j in range(spec.channels):
+            starts = rng.choice(positions, size=min(n_inject, len(positions)), replace=False)
+            for start in np.sort(starts):
+                m = int(rng.choice(len(library)))
+                motif = library[m]
+                values[start:start + len(motif), j] += spec.motif_amp * motif
+                injections.append((j, int(start), m))
+    values += spec.noise * rng.standard_normal(values.shape)
+    return values, injections, rng
+
+
+PINNED_SPECS = {
+    "default": SynthSpec(),
+    "surprise": SynthSpec(length=1200, channels=4, sinusoids=[(24.0, 0.4)],
+                          channel_phase=0.35, motifs=surprise_motifs(),
+                          motif_rate=0.012, motif_amp=4.0, noise=0.25),
+    "unequal-lengths": SynthSpec(length=500, channels=3, motif_rate=0.05,
+                                 motifs=[np.ones(3), np.linspace(-1.0, 1.0, 17),
+                                         -np.ones(6), np.arange(9.0)]),
+    "one-motif": SynthSpec(length=300, channels=2, motifs=[np.ones(4)], motif_rate=0.03),
+    "every-position": SynthSpec(length=60, channels=3, motif_len=12, motif_rate=1.0),
+    "no-motifs": SynthSpec(length=200, channels=2, motif_rate=0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SPECS))
+@pytest.mark.parametrize("seed", [0, 1, 303, 404])
+def test_synth_stream_pinned_to_per_motif_draws(monkeypatch, name, seed):
+    """One motif-type draw per channel gives the per-motif rng.choice loop's series,
+    injections and generator state, bit for bit."""
+    spec = PINNED_SPECS[name]
+    want_values, want_injections, want_rng = per_motif_synth(spec, seed)
+    made = []
+    default_rng = np.random.default_rng
+
+    def recording_rng(*args):
+        made.append(default_rng(*args))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    ds, injections = synth_generate(spec, seed)
+    monkeypatch.undo()
+    np.testing.assert_array_equal(ds.values, want_values)
+    assert injections == want_injections
+    assert all(type(v) is int for inj in injections for v in inj)
+    if name == "every-position":
+        assert len(injections) == spec.channels * (spec.length - spec.motif_len)
+    if name == "no-motifs":
+        assert injections == []
+    (rng,) = made
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+    assert rng.integers(2**62) == want_rng.integers(2**62)
 
 
 class TestSynth:

@@ -252,6 +252,21 @@ class TestParamArena:
         for pid, vals in before.items():
             np.testing.assert_array_equal(store[pid].values, vals)
 
+    def test_grads_before_the_arena(self):
+        store = ParamStore()
+        shapes = [(), (1,), (3, 5), (2, 3, 4)]
+        for i, shape in enumerate(shapes):
+            store.register(f"p{i}", np.ones(shape, dtype=np.float32))
+        for p, shape in zip(store, shapes):
+            assert p.grad.dtype == np.float64 and p.grad.shape == shape
+            assert not p.grad.any()
+            assert not np.shares_memory(p.grad, p.values)
+        store["p2"].grad += 1.5   # accumulated before the arena exists
+        _, grad = store.arena()
+        np.testing.assert_array_equal(store["p2"].grad, np.full((3, 5), 1.5))
+        assert grad.sum() == 1.5 * 15
+        assert np.shares_memory(store["p2"].grad, grad)
+
     @pytest.mark.parametrize("dtype", [np.float64], ids=["double"])
     @pytest.mark.parametrize("chunk", [7, nn.ADAM_CHUNK])
     def test_adam_matches_per_tensor_reference(self, chunk, dtype, monkeypatch):
