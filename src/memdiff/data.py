@@ -12,6 +12,7 @@ import io
 import json
 import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +51,7 @@ class Dataset:
         return json.dumps(info, sort_keys=True)
 
 
-@dataclass(frozen=True)
-class SeriesWindow:
+class SeriesWindow(NamedTuple):
     """One training/inference instance: contiguous lookback then horizon."""
 
     lookback: np.ndarray    # (L, N)
@@ -154,8 +154,13 @@ class ChannelStats:
 
     @classmethod
     def fit(cls, train_segment: np.ndarray) -> "ChannelStats":
-        mean = train_segment.mean(axis=0)
-        std = train_segment.std(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = train_segment.mean(axis=0)
+            std = train_segment.std(axis=0)
+        huge = ~(np.isfinite(mean) & np.isfinite(std))
+        if np.any(huge):
+            raise DataError(f"train-segment channels {np.nonzero(huge)[0].tolist()}: "
+                            f"mean or std overflows float64")
         flat = std <= 0.0
         if np.any(flat):
             log.info("constant channels %s: std forced to 1", np.nonzero(flat)[0].tolist())
@@ -170,7 +175,11 @@ class ChannelStats:
 
 
 def windows(segment: np.ndarray, lookback: int, horizon: int, stride: int = 1):
-    """Sliding windows over one split segment, oldest first."""
+    """Sliding windows over one split segment, oldest first.
+
+    Every window's lookback and horizon are read-only views into one
+    sliding-window view of the segment's spans.
+    """
     if stride < 1:
         raise DataError(f"stride must be positive, got {stride}")
     span = lookback + horizon
@@ -178,8 +187,10 @@ def windows(segment: np.ndarray, lookback: int, horizon: int, stride: int = 1):
     if n < span:
         raise DataError(f"segment of {n} rows cannot fit lookback {lookback} "
                         f"+ horizon {horizon}")
-    return [SeriesWindow(segment[s:s + lookback], segment[s + lookback:s + span], origin=s)
-            for s in range(0, n - span + 1, stride)]
+    spans = np.lib.stride_tricks.sliding_window_view(segment, (span, segment.shape[1]))
+    spans = spans[::stride, 0]
+    return list(map(SeriesWindow, spans[:, :lookback], spans[:, lookback:],
+                    range(0, n - span + 1, stride)))
 
 
 @dataclass
@@ -251,18 +262,27 @@ def synth_generate(spec: SynthSpec, seed: int) -> "tuple[Dataset, list[tuple[int
     injections = []
     if library and spec.motif_rate > 0.0:
         n_inject = int(round(spec.motif_rate * spec.length))
-        longest = max(len(m) for m in library)
-        positions = np.arange(0, spec.length - longest)
+        lengths = np.array([len(m) for m in library])
+        firsts = np.cumsum(lengths) - lengths       # each motif's offset in `scaled`
+        scaled = np.concatenate([spec.motif_amp * m for m in library])
+        positions = np.arange(0, spec.length - lengths.max())
         for j in range(spec.channels):
-            starts = rng.choice(positions, size=min(n_inject, len(positions)), replace=False)
+            starts = np.sort(rng.choice(positions, size=min(n_inject, len(positions)),
+                                        replace=False))
             # one draw for all of the channel's motif types: the same stream as one
             # rng.choice(len(library)) per motif, at a fraction of the per-call cost
             picks = rng.integers(len(library), size=len(starts))
-            for start, m in zip(np.sort(starts).tolist(), picks.tolist()):
-                motif = library[m]
-                values[start:start + len(motif), j] += spec.motif_amp * motif
-                injections.append((j, start, m))
-    values += spec.noise * rng.standard_normal(values.shape)
+            # every planted row in sorted-start order; add.at adds repeated rows in
+            # that order, so overlapping motifs sum as one slice-add per motif did
+            counts = lengths[picks]
+            within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+            np.add.at(values[:, j], np.repeat(starts, counts) + within,
+                      scaled[np.repeat(firsts[picks], counts) + within])
+            injections.extend(zip([j] * len(starts), starts.tolist(), picks.tolist()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values += spec.noise * rng.standard_normal(values.shape)
+    if not np.isfinite(values).all():
+        raise DataError(f"synth_noise={spec.noise!r} overflows the synthetic series")
     ds = Dataset("synthetic", values, tuple(f"ch{j}" for j in range(spec.channels)))
     return ds, injections
 

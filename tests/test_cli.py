@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -414,6 +415,33 @@ class TestCliCommands:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "UsageError" and setting.split("=")[0] in err["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,sets,message", [
+        ("synth", ["synth_noise=1e308"], "synth_noise=1e+308 overflows the synthetic series"),
+        ("train", ["synth_noise=1e308"], "synth_noise=1e+308 overflows the synthetic series"),
+        ("train", ["synth_noise=1e200", "max_steps=2"],
+         "train-segment channels [0, 1]: mean or std overflows float64"),
+        ("train", ["csv"], "train-segment channels [1]: mean or std overflows float64"),
+    ])
+    def test_huge_finite_data_is_data_error(self, tmp_path, tiny_cfg_file, capsys, command,
+                                            sets, message):
+        """A finite series too large to normalize exits 2 naming its cause, with no
+        numpy RuntimeWarning and no NaN metrics."""
+        if sets == ["csv"]:
+            path = tmp_path / "huge.csv"
+            path.write_text("a,b\n" + "".join(f"{i % 7},{(-1) ** i}e200\n" for i in range(400)))
+            sets = [f"csv_path={path}", "dataset=huge"]
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run([command, "--config", tiny_cfg_file, "--out", str(out),
+                        *[arg for item in sets for arg in ("--set", item)]])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 2 and len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "DataError" and err["exit_code"] == 2
+        assert message in err["message"]
+        assert not (out / "metrics.json").exists()
 
     def test_n_channels_comes_from_the_data(self, tmp_path, tiny_cfg_file):
         # n_channels = 7 alone would exceed queue_size = 3; the data has 3 channels

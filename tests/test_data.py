@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from memdiff import ChannelStats, SynthSpec, split, synth_generate, windows
+from memdiff import ChannelStats, SeriesWindow, SynthSpec, split, synth_generate, windows
 from memdiff.data import Dataset, dataset_to_csv, load_csv, loads_csv, surprise_motifs
 from memdiff.errors import DataError
 
@@ -92,6 +92,14 @@ class TestNormalize:
         # test block keeps its own offset relative to the train center
         assert normed_test.mean() < -1.0
 
+    @pytest.mark.parametrize("scale", [1e154, 1e200, 1e306])
+    def test_overflowing_channel_rejected_by_name(self, scale):
+        seg = np.column_stack([np.arange(10.0), scale * (-1.0) ** np.arange(10),
+                               np.full(10, 3.0)])
+        with np.errstate(all="raise"), \
+                pytest.raises(DataError, match=r"channels \[1\]: mean or std overflows"):
+            ChannelStats.fit(seg)
+
     def test_roundtrip_random_block(self):
         rng = np.random.default_rng(2)
         stats = ChannelStats.fit(rng.standard_normal((30, 3)) * 4 + 2)
@@ -128,10 +136,50 @@ class TestWindows:
         with pytest.raises(DataError):
             windows(self.seg(11), 8, 4, 1)
 
+    def test_bad_stride_rejected(self):
+        with pytest.raises(DataError, match="stride must be positive"):
+            windows(self.seg(20), 8, 4, 0)
+
+    @pytest.mark.parametrize("channels", [1, 4])
+    @pytest.mark.parametrize("n,stride", [(12, 1), (12, 4), (30, 1), (30, 3), (30, 4),
+                                          (31, 4), (29, 5)])
+    def test_matches_per_window_slices(self, channels, n, stride):
+        """The sliding-window views equal the per-window slices in values, shapes,
+        strides and origins (horizon 4, so stride 4 is stride = H)."""
+        seg = np.random.default_rng(n * stride).standard_normal((n, channels))
+        want = [(seg[s:s + 8], seg[s + 8:s + 12], s) for s in range(0, n - 12 + 1, stride)]
+        got = windows(seg, 8, 4, stride)
+        assert len(got) == len(want)
+        for win, (lookback, horizon, origin) in zip(got, want):
+            assert type(win.origin) is int and win.origin == origin
+            for view, part in ((win.lookback, lookback), (win.horizon, horizon)):
+                np.testing.assert_array_equal(view, part)
+                assert view.shape == part.shape and view.strides == part.strides
+                assert view.flags.c_contiguous
+
+    def test_read_only_views_of_the_segment(self):
+        seg = np.random.default_rng(0).standard_normal((20, 3))
+        for win in windows(seg, 8, 4, 3):
+            for part in (win.lookback, win.horizon):
+                assert np.shares_memory(part, seg)
+                with pytest.raises(ValueError):
+                    part[0, 0] = 1.0
+        seg[9, 1] = 7.5   # the windows see the segment, not a copy
+        assert windows(seg, 8, 4, 1)[2].lookback[7, 1] == 7.5
+
+    def test_series_window_fields_and_immutability(self):
+        win = windows(self.seg(14), 8, 4, 1)[1]
+        assert SeriesWindow._fields == ("lookback", "horizon", "origin")
+        lookback, horizon, origin = win
+        assert lookback is win.lookback and horizon is win.horizon and origin == 1
+        with pytest.raises(AttributeError):
+            win.origin = 0
+
 
 def per_motif_synth(spec: SynthSpec, seed: int):
-    """synth_generate as it drew each planted motif's type: one rng.choice per motif.
-    Returns the values, the injections and the generator after the last draw."""
+    """synth_generate as it drew each planted motif's type, one rng.choice per motif,
+    and added each motif with its own slice-add. Returns the values, the injections
+    and the generator after the last draw."""
     rng = np.random.default_rng(seed)
     t = np.arange(spec.length, dtype=np.float64)
     values = np.zeros((spec.length, spec.channels))
@@ -164,6 +212,9 @@ PINNED_SPECS = {
     "unequal-lengths": SynthSpec(length=500, channels=3, motif_rate=0.05,
                                  motifs=[np.ones(3), np.linspace(-1.0, 1.0, 17),
                                          -np.ones(6), np.arange(9.0)]),
+    "overlapping": SynthSpec(length=80, channels=2, motif_rate=0.4, motif_amp=1.7,
+                             motifs=[np.full(2, 0.1), np.linspace(-1.0, 1.0, 13),
+                                     np.arange(5.0) / 3]),
     "one-motif": SynthSpec(length=300, channels=2, motifs=[np.ones(4)], motif_rate=0.03),
     "every-position": SynthSpec(length=60, channels=3, motif_len=12, motif_rate=1.0),
     "no-motifs": SynthSpec(length=200, channels=2, motif_rate=0.0),
@@ -173,8 +224,9 @@ PINNED_SPECS = {
 @pytest.mark.parametrize("name", sorted(PINNED_SPECS))
 @pytest.mark.parametrize("seed", [0, 1, 303, 404])
 def test_synth_stream_pinned_to_per_motif_draws(monkeypatch, name, seed):
-    """One motif-type draw per channel gives the per-motif rng.choice loop's series,
-    injections and generator state, bit for bit."""
+    """One motif-type draw and one scatter-add per channel give the per-motif loop's
+    series, injections and generator state, bit for bit: motifs of unequal length
+    that overlap sum in sorted-start order, as one slice-add per motif did."""
     spec = PINNED_SPECS[name]
     want_values, want_injections, want_rng = per_motif_synth(spec, seed)
     made = []
@@ -194,9 +246,20 @@ def test_synth_stream_pinned_to_per_motif_draws(monkeypatch, name, seed):
         assert len(injections) == spec.channels * (spec.length - spec.motif_len)
     if name == "no-motifs":
         assert injections == []
+    if name == "overlapping":
+        ends, overlaps = {}, 0
+        for ch, start, m in injections:
+            overlaps += start < ends.get(ch, 0)
+            ends[ch] = max(ends.get(ch, 0), start + len(spec.motifs[m]))
+        assert overlaps > 10 and {m for _, _, m in injections} == {0, 1, 2}
     (rng,) = made
     assert rng.bit_generator.state == want_rng.bit_generator.state
     assert rng.integers(2**62) == want_rng.integers(2**62)
+
+
+def test_overflowing_noise_is_data_error():
+    with np.errstate(all="raise"), pytest.raises(DataError, match=r"synth_noise=1e\+308 "):
+        synth_generate(SynthSpec(length=200, channels=2, noise=1e308), 0)
 
 
 class TestSynth:
