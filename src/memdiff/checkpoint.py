@@ -9,9 +9,9 @@ Layout (all integers little-endian):
 
 Entries are written in sorted-name order and numbers are stored verbatim,
 so identical state always produces identical bytes and round-trips are
-bit-exact. No timestamps anywhere. Loading checks every length against
-the bytes left in the file, so a truncated or garbled checkpoint raises
-DataError naming the file.
+bit-exact. No timestamps anywhere. Loading reads the file once and checks
+every length against the bytes left, so a truncated or garbled checkpoint
+raises DataError naming the file; its arrays are views into that one read.
 """
 
 from __future__ import annotations
@@ -31,31 +31,20 @@ VERSION = 1
 
 
 def save(path: str, arrays: "dict[str, np.ndarray]", meta: "dict | None" = None):
-    """Write through a temporary file beside path that then replaces it, so a
-    save that fails part way leaves the previous checkpoint whole."""
+    """Write path.tmp, then rename it over path: a failed save leaves the old file whole."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<I", VERSION))
-            f.write(struct.pack("<I", len(arrays)))
+            f.write(MAGIC + struct.pack("<II", VERSION, len(arrays)))
             for name in sorted(arrays):
                 arr = np.ascontiguousarray(arrays[name])
-                dtype = arr.dtype.newbyteorder("<")
-                arr = arr.astype(dtype, copy=False)
-                name_b = name.encode("utf-8")
-                dtype_b = dtype.str.encode("ascii")
-                f.write(struct.pack("<H", len(name_b)))
-                f.write(name_b)
-                f.write(struct.pack("<B", len(dtype_b)))
-                f.write(dtype_b)
-                f.write(struct.pack("<B", arr.ndim))
-                for d in arr.shape:
-                    f.write(struct.pack("<I", d))
-                f.write(arr.tobytes(order="C"))
+                arr = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
+                name_b, dtype_b = name.encode("utf-8"), arr.dtype.str.encode("ascii")
+                f.write(struct.pack(f"<H{len(name_b)}sB{len(dtype_b)}sB{arr.ndim}I", len(name_b),
+                                    name_b, len(dtype_b), dtype_b, arr.ndim, *arr.shape))
+                f.write(arr)   # its C-order bytes, straight from the array's memory
             meta_b = json.dumps(meta or {}, sort_keys=True, separators=(",", ":")).encode("utf-8")
-            f.write(struct.pack("<Q", len(meta_b)))
-            f.write(meta_b)
+            f.write(struct.pack("<Q", len(meta_b)) + meta_b)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -63,70 +52,66 @@ def save(path: str, arrays: "dict[str, np.ndarray]", meta: "dict | None" = None)
         raise
 
 
-class _Reader:
-    """Sequential reads that turn a short or impossible read into DataError."""
-
-    def __init__(self, path: str, f):
-        self.path, self.f = path, f
-        self.left = os.fstat(f.fileno()).st_size
-
-    def fail(self, what: str):
-        raise DataError(f"{self.path}: corrupt checkpoint: {what}")
-
-    def take(self, n: int, what: str) -> bytes:
-        if n > self.left:
-            self.fail(f"{what} needs {n} bytes, {self.left} left")
-        raw = self.f.read(n)
-        if len(raw) != n:
-            self.fail(f"{what} read {len(raw)} of {n} bytes")
-        self.left -= n
-        return raw
-
-    def uint(self, fmt: str, what: str) -> int:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))[0]
-
-    def text(self, n: int, encoding: str, what: str) -> str:
-        try:
-            return self.take(n, what).decode(encoding)
-        except UnicodeDecodeError:
-            self.fail(f"{what} is not {encoding}")
-
-
 def load(path: str) -> "tuple[dict[str, np.ndarray], dict]":
-    with open(path, "rb") as f:
-        r = _Reader(path, f)
-        if r.left < len(MAGIC) or r.take(len(MAGIC), "magic") != MAGIC:
-            raise DataError(f"{path}: not a memdiff checkpoint")
-        version = r.uint("<I", "version")
-        if version != VERSION:
-            raise DataError(f"{path}: unsupported checkpoint version {version}")
-        count = r.uint("<I", "entry count")
-        arrays: "dict[str, np.ndarray]" = {}
-        for i in range(count):
-            name = r.text(r.uint("<H", f"entry {i} name length"), "utf-8", f"entry {i} name")
-            dtype_s = r.text(r.uint("<B", f"{name!r} dtype length"), "ascii", f"{name!r} dtype")
-            try:
-                dtype = np.dtype(dtype_s)
-            except (TypeError, ValueError):
-                dtype = None
-            if dtype is None or dtype.kind not in "biufc":   # plain numbers only
-                r.fail(f"{name!r} has bad dtype {dtype_s!r}")
-            ndim = r.uint("<B", f"{name!r} ndim")
-            shape = tuple(r.uint("<I", f"{name!r} shape") for _ in range(ndim))
-            raw = r.take(dtype.itemsize * math.prod(shape), f"{name!r} data")
-            try:
-                arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-            except ValueError:   # more dims than numpy allows, or an impossible size
-                r.fail(f"{name!r} has bad shape {shape}")
-        meta_b = r.take(r.uint("<Q", "metadata length"), "metadata")
+    """The named arrays, as read-only views into the one buffer the file is read into,
+    and the metadata; an unreadable, truncated or garbled file raises DataError."""
+    try:
+        with open(path, "rb") as f:
+            buf = f.read()
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+    at = len(MAGIC)   # the cursor: take() moves it past each field once its length checks
+
+    def fail(what: str):
+        raise DataError(f"{path}: corrupt checkpoint: {what}")
+
+    def take(n: int, what: str) -> int:
+        nonlocal at
+        if n > len(buf) - at:
+            fail(f"{what} needs {n} bytes, {len(buf) - at} left")
+        at += n
+        return at - n
+
+    def uint(fmt: str, what: str) -> int:
+        return struct.unpack_from(fmt, buf, take(struct.calcsize(fmt), what))[0]
+
+    def text(n: int, encoding: str, what: str) -> str:
+        lo = take(n, what)
         try:
-            meta = json.loads(meta_b.decode("utf-8"))
-        except ValueError:   # bad utf-8 or bad JSON
-            meta = None
-        if not isinstance(meta, dict):
-            r.fail("metadata is not a JSON object")
-        if r.left:
-            r.fail(f"{r.left} trailing bytes after the metadata")
+            return buf[lo:at].decode(encoding)
+        except UnicodeDecodeError:
+            fail(f"{what} is not {encoding}")
+
+    if buf[:at] != MAGIC:
+        raise DataError(f"{path}: not a memdiff checkpoint")
+    version = uint("<I", "version")
+    if version != VERSION:
+        raise DataError(f"{path}: unsupported checkpoint version {version}")
+    arrays: "dict[str, np.ndarray]" = {}
+    for i in range(uint("<I", "entry count")):
+        name = text(uint("<H", f"entry {i} name length"), "utf-8", f"entry {i} name")
+        dtype_s = text(uint("<B", f"{name!r} dtype length"), "ascii", f"{name!r} dtype")
+        try:
+            dtype = np.dtype(dtype_s)
+        except (TypeError, ValueError):
+            dtype = None
+        if dtype is None or dtype.kind not in "biufc":   # plain numbers only
+            fail(f"{name!r} has bad dtype {dtype_s!r}")
+        shape = tuple(uint("<I", f"{name!r} shape") for _ in range(uint("<B", f"{name!r} ndim")))
+        lo = take(dtype.itemsize * math.prod(shape), f"{name!r} data")
+        try:
+            arrays[name] = np.frombuffer(buf, dtype, math.prod(shape), lo).reshape(shape)
+        except ValueError:   # more dims than numpy allows, or an impossible size
+            fail(f"{name!r} has bad shape {shape}")
+    lo = take(uint("<Q", "metadata length"), "metadata")
+    try:
+        meta = json.loads(buf[lo:at].decode("utf-8"))
+    except ValueError:   # bad utf-8 or bad JSON
+        meta = None
+    if not isinstance(meta, dict):
+        fail("metadata is not a JSON object")
+    if at < len(buf):
+        fail(f"{len(buf) - at} trailing bytes after the metadata")
     return arrays, meta
 
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from .config import TrainConfig, config_hash, load_config, resolved_text
 from .data import Dataset, SynthSpec, dataset_to_csv, load_csv, matrix_csv, synth_generate
-from .errors import DataError, MemdiffError, UsageError
-from .trainer import EvalResult, Trainer, prepare
+from .errors import DataError, MemdiffError, NumericError, UsageError
+from .trainer import EvalResult, Trainer, prepare, raise_float_errors
 
 VARIANTS = {
     "full": {},
@@ -121,8 +121,11 @@ def _prepared_trainer(cfg: TrainConfig, csv_data: "Dataset | None", fit: bool,
 
 
 def _write_metrics(out_dir: str, result: EvalResult, **extra):
-    _write(os.path.join(out_dir, "metrics.json"),
-           json.dumps({**result.as_dict(), **extra}, sort_keys=True))
+    try:   # strict JSON: a nan or inf metric is refused, not written as NaN or Infinity
+        text = json.dumps({**result.as_dict(), **extra}, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise NumericError(f"non-finite metrics {json.dumps(result.as_dict())}") from None
+    _write(os.path.join(out_dir, "metrics.json"), text)
 
 
 def cmd_train(cfg: TrainConfig, trainer: Trainer, ds: Dataset, out: str):
@@ -139,7 +142,8 @@ def cmd_forecast(cfg: TrainConfig, trainer: Trainer, ds: Dataset, out: str):
     stats = trainer.data.stats
     lookback = stats.normalize(ds.values[-cfg.lookback:])
     rng = np.random.default_rng(trainer.forecast_seed)
-    pred = stats.denormalize(trainer.model.forecast(lookback, rng))
+    with raise_float_errors("forecasting past the end of the data"):
+        pred = stats.denormalize(trainer.model.forecast(lookback, rng))
     _write(os.path.join(out, "forecasts.csv"), matrix_csv(pred, ds.channel_names))
     _write(os.path.join(out, "forecasts.json"), json.dumps(
         {"config_hash": config_hash(cfg), "seed": cfg.seed, "substeps": cfg.substeps},

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attention
-from .checkpoint import counter, require
+from .checkpoint import counter, refuse_extra, require
 from .errors import DataError, InvariantError
 
 
@@ -46,6 +46,10 @@ class EpisodicStore:
     place; ``entries``, ``queue`` and ``records`` build read-only
     EpisodicRecord snapshots of them, group by group.
     """
+
+    # the checkpoint arrays state_arrays writes and reader restores
+    STATE = ("episodic/patterns", "episodic/freqs", "episodic/births", "episodic/main",
+             "episodic/birth_counter")
 
     def __init__(self, dim: int, capacity: int, queue_capacity: int, recall_top_k: int = 5,
                  groups: int = 1):
@@ -197,17 +201,15 @@ class EpisodicStore:
         """The live rows of each saved column as one (G, records, ...) array, the number of
         main-slot records (the rest are queued) and the birth counter."""
         n = self._n_main + self._n_queue
-        return {"episodic/patterns": self._patterns[:, :n].copy(),
-                "episodic/freqs": self._freqs[:, :n].copy(),
-                "episodic/births": self._births[:, :n].copy(),
-                "episodic/main": np.array([self._n_main], dtype=np.int64),
-                "episodic/birth_counter": np.array([self._birth], dtype=np.int64)}
+        return dict(zip(self.STATE, (
+            self._patterns[:, :n].copy(), self._freqs[:, :n].copy(), self._births[:, :n].copy(),
+            np.array([self._n_main], dtype=np.int64), np.array([self._birth], dtype=np.int64))))
 
     def reader(self, arrays: "dict[str, np.ndarray]"):
-        """Check a state_arrays dict (DataError for a missing or misshapen array, or records
-        the store cannot hold); return write(), which restores it."""
-        pats, freqs, births = (require(arrays, f"episodic/{name}")
-                               for name in ("patterns", "freqs", "births"))
+        """Check a state_arrays dict (DataError for a missing, misshapen or foreign array,
+        or records the store cannot hold); return write(), which restores it."""
+        refuse_extra(arrays, "episodic/", self.STATE)
+        pats, freqs, births = (require(arrays, name) for name in self.STATE[:3])
         pats = np.asarray(pats, dtype=np.float64)
         if pats.ndim != 3 or pats.shape[0] != self.groups or pats.shape[2] != self.dim:
             raise DataError(f"episodic/patterns is shaped {pats.shape}, "
@@ -216,7 +218,7 @@ class EpisodicStore:
         if freqs.shape != (self.groups, n) or births.shape != (self.groups, n):
             raise DataError(f"episodic/freqs {freqs.shape} and episodic/births {births.shape} "
                             f"do not match patterns shaped {pats.shape}")
-        n_main, birth = counter(arrays, "episodic/main"), counter(arrays, "episodic/birth_counter")
+        n_main, birth = (counter(arrays, name) for name in self.STATE[3:])
         n_queue = n - n_main
         if n_queue < 0:
             raise DataError(f"episodic/main is {n_main}, but only {n} records are stored")

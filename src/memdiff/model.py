@@ -234,8 +234,9 @@ class ForecastModel:
         """Check parameters and episodic state; return write(), which restores them. An
         array that is missing, misshapen or of another config raises DataError here."""
         writes = [self.params.reader(arrays, "param/")]
-        refuse_extra(arrays, "episodic/", self.state_arrays())
-        if self.episodic is not None:
+        if self.episodic is None:
+            refuse_extra(arrays, "episodic/", ())
+        else:
             writes.append(self.episodic.reader(arrays))
 
         def write():

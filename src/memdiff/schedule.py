@@ -90,13 +90,15 @@ def make_schedule(steps: int = DEFAULT_STEPS, beta_min: float = DEFAULT_BETA_MIN
     alpha_bar_K hits TERMINAL_ALPHA_BAR regardless of K. Few-step training
     needs the aggressive endpoint for the standard-normal prior to hold.
 
-    A ``beta`` sequence, when given, is taken as is. It skips the
-    prior-matching endpoint check so hand-built schedules for tests remain
-    expressible.
+    A ``beta`` sequence of ``steps`` values, when given, is taken as is. It
+    skips the prior-matching endpoint check so hand-built schedules for
+    tests remain expressible.
     """
     if steps < 1:
         raise DataError(f"steps must be >= 1, got {steps}")
     if beta is not None:
+        if np.size(beta) != steps:
+            raise DataError(f"beta holds {np.size(beta)} values for a {steps}-step schedule")
         return NoiseSchedule(np.asarray(beta, dtype=np.float64))
     if not 0.0 < beta_min <= beta_max < 1.0:
         raise DataError(f"need 0 < beta_min <= beta_max < 1, got ({beta_min}, {beta_max})")

@@ -10,6 +10,7 @@ streams seeds the CLI's forecast past the end of the data.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 from dataclasses import dataclass
 
@@ -29,6 +30,17 @@ log = logging.getLogger("memdiff.trainer")
 # Forecast values evaluate holds per block (at least one window): the per-window
 # metric sums run vectorized once per block, in memory bounded by this.
 EVAL_BLOCK = 2 ** 16
+
+
+@contextlib.contextmanager
+def raise_float_errors(doing: str):
+    """Run the block with numpy overflow and invalid values raised, as NumericError
+    naming what it was doing."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericError(f"{doing}: {exc}") from exc
 
 
 def window_error_sums(truth: np.ndarray, pred: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
@@ -236,7 +248,8 @@ class Trainer:
         convention) and on the de-normalized raw scale. Each window is
         forecast by its own model.forecast call, in window order, from one
         eval stream; the errors are summed per window a block at a time and
-        the windows' sums added in window order.
+        the windows' sums added in window order. An overflow or invalid value
+        anywhere on the way raises NumericError naming the split.
         """
         wins = {"val": self.data.val, "test": self.data.test}[which]
         if not wins:
@@ -247,17 +260,18 @@ class Trainer:
         per_block = max(1, EVAL_BLOCK // size)
         preds = np.empty((min(per_block, len(wins)), *wins[0].horizon.shape))
         sums = np.empty((4, len(wins)))   # absolute and squared error, normalized then raw
-        for lo in range(0, len(wins), per_block):
-            block = wins[lo:lo + per_block]
-            pred = preds[:len(block)]
-            for i, win in enumerate(block):
-                pred[i] = self.model.forecast(win.lookback, rng)
-            truth = np.stack([win.horizon for win in block])
-            sums[:2, lo:lo + len(block)] = window_error_sums(truth, pred)
-            sums[2:, lo:lo + len(block)] = window_error_sums(stats.denormalize(truth),
-                                                             stats.denormalize(pred))
-        # cumsum adds the windows one after another, as a running total would
-        mae_norm, mse_norm, mae_raw, mse_raw = sums.cumsum(axis=1)[:, -1] / (size * len(wins))
+        with raise_float_errors(f"evaluating the {which} split"):
+            for lo in range(0, len(wins), per_block):
+                block = wins[lo:lo + per_block]
+                pred = preds[:len(block)]
+                for i, win in enumerate(block):
+                    pred[i] = self.model.forecast(win.lookback, rng)
+                truth = np.stack([win.horizon for win in block])
+                sums[:2, lo:lo + len(block)] = window_error_sums(truth, pred)
+                sums[2:, lo:lo + len(block)] = window_error_sums(stats.denormalize(truth),
+                                                                 stats.denormalize(pred))
+            # cumsum adds the windows one after another, as a running total would
+            mae_norm, mse_norm, mae_raw, mse_raw = sums.cumsum(axis=1)[:, -1] / (size * len(wins))
         return EvalResult(mae_norm, mse_norm, mae_raw, mse_raw, n_windows=len(wins))
 
     # -- persistence -------------------------------------------------------------

@@ -52,7 +52,7 @@ def tiny_cfg_file(tmp_path):
 
 
 def read_matrix_csv(path: str) -> np.ndarray:
-    lines = open(path).read().strip().splitlines()
+    lines = Path(path).read_text().strip().splitlines()
     return np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
 
 
@@ -137,7 +137,7 @@ class TestCliCommands:
                     "--set", f"csv_path={out}/synthetic.csv"]) == 0
         assert os.path.exists(os.path.join(out, "synthetic.csv"))
         assert os.path.exists(os.path.join(out, "resolved_config"))
-        stats = json.loads(open(os.path.join(out, "dataset_stats.json")).read())
+        stats = json.loads(Path(out, "dataset_stats.json").read_text())
         assert stats["channels"] == 2
 
     def test_train_twice_byte_identical_checkpoints(self, tmp_path, tiny_cfg_file):
@@ -155,13 +155,13 @@ class TestCliCommands:
         assert run(["train", "--config", tiny_cfg_file, "--out", out, "--seed", "1"]) == 0
         assert os.path.exists(os.path.join(out, "training.log"))
         assert run(["evaluate", "--config", tiny_cfg_file, "--out", out, "--seed", "1"]) == 0
-        metrics = json.loads(open(os.path.join(out, "metrics.json")).read())
+        metrics = json.loads(Path(out, "metrics.json").read_text())
         assert {"mae", "mse", "mae_raw", "mse_raw"} <= set(metrics)
         assert run(["forecast", "--config", tiny_cfg_file, "--out", out, "--seed", "1",
                     "--substeps", "2"]) == 0
-        lines = open(os.path.join(out, "forecasts.csv")).read().strip().splitlines()
+        lines = Path(out, "forecasts.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 4  # header + horizon rows
-        sidecar = json.loads(open(os.path.join(out, "forecasts.json")).read())
+        sidecar = json.loads(Path(out, "forecasts.json").read_text())
         assert sidecar["substeps"] == 2 and sidecar["seed"] == 1
 
     @pytest.mark.parametrize("substeps", ["0", "5"])
@@ -183,7 +183,7 @@ class TestCliCommands:
         for substeps in ("1", "2"):
             assert run(["evaluate", "--config", tiny_cfg_file, "--out", out, "--seed", "5",
                         "--substeps", substeps]) == 0
-            metrics[substeps] = json.loads(open(os.path.join(out, "metrics.json")).read())
+            metrics[substeps] = json.loads(Path(out, "metrics.json").read_text())
         assert run(["forecast", "--config", tiny_cfg_file, "--out", out, "--seed", "5",
                     "--substeps", "2"]) == 0
         got = read_matrix_csv(os.path.join(out, "forecasts.csv"))
@@ -214,7 +214,7 @@ class TestCliCommands:
         code = run(["ablate", "--config", tiny_cfg_file, "--out", out, "--seed", "4",
                     "--set", "epochs=1", "--set", "synth_length=300"])
         assert code == 0
-        lines = open(os.path.join(out, "ablation.csv")).read().strip().splitlines()
+        lines = Path(out, "ablation.csv").read_text().strip().splitlines()
         assert lines[0] == "variant,mae,mse,mae_raw,mse_raw"
         names = [line.split(",")[0] for line in lines[1:]]
         assert names == ["full", "w/o-semantic", "w/o-episodic", "w/o-both"]
@@ -270,6 +270,63 @@ class TestCliCommands:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DataError"
+
+    def test_unreadable_checkpoint_is_data_error(self, tmp_path, tiny_cfg_file, capsys):
+        out = tmp_path / "run"
+        (out / "checkpoint.bin").mkdir(parents=True)   # there, but not a file
+        code = run(["evaluate", "--config", tiny_cfg_file, "--out", str(out)])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 2 and len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "DataError" and err["exit_code"] == 2
+        assert err["message"].startswith(f"cannot read checkpoint {out}/checkpoint.bin: ")
+
+    @pytest.fixture
+    def overflowing_run(self, tmp_path, tiny_cfg_file):
+        """Arguments of a trained run on a CSV whose last 20 rows, all in the test split and
+        the last lookback, hold b = 1e300; the training run's metrics.json is removed."""
+        values = np.random.default_rng(0).standard_normal((400, 2))
+        values[-20:, 1] = 1e300
+        data = tmp_path / "huge.csv"
+        data.write_text("a,b\n" + "".join(f"{a!r},{b!r}\n" for a, b in values.tolist()))
+        args = ["--config", tiny_cfg_file, "--out", str(tmp_path / "run"),
+                "--set", f"csv_path={data}"]
+        assert run(["train", *args]) == 0
+        (tmp_path / "run" / "metrics.json").unlink()
+        return args
+
+    @pytest.mark.parametrize("command,doing,output", [
+        ("evaluate", "evaluating the test split: ", "metrics.json"),
+        ("forecast", "forecasting past the end of the data: ", "forecasts.csv"),
+    ])
+    def test_overflow_is_numeric_error(self, tmp_path, overflowing_run, capsys, command, doing,
+                                       output):
+        capsys.readouterr()
+        assert run([command, *overflowing_run]) == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "NumericError" and err["exit_code"] == 3
+        assert err["message"].startswith(doing + "overflow")
+        assert not (tmp_path / "run" / output).exists()
+
+    def test_nan_metric_is_numeric_error(self, tmp_path, tiny_cfg_file, capsys):
+        # a nan parameter propagates quietly, past the floating-point error checks
+        from memdiff import checkpoint
+        out = tmp_path / "run"
+        assert run(["train", "--config", tiny_cfg_file, "--out", str(out)]) == 0
+        (out / "metrics.json").unlink()
+        arrays, meta = checkpoint.load(str(out / "checkpoint.bin"))
+        checkpoint.save(str(out / "checkpoint.bin"),
+                        {**arrays, "param/encoder/b0": np.full(8, np.nan)}, meta)
+        capsys.readouterr()
+        assert run(["evaluate", "--config", tiny_cfg_file, "--out", str(out)]) == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "NumericError" and err["exit_code"] == 3
+        assert err["message"].startswith('non-finite metrics {"mae": NaN')
+        assert not (out / "metrics.json").exists()
 
     def test_truncated_checkpoint_is_data_error(self, tmp_path, tiny_cfg_file, capsys):
         out = str(tmp_path / "run")

@@ -324,6 +324,13 @@ class TestZeroNormAndLoadChecks:
         del arrays["episodic/births"]
         self.refused(arrays, "episodic/births")
 
+    def test_foreign_episodic_array_is_data_error(self):
+        # the store refuses its own foreign arrays, before any missing one
+        arrays = self.saved()
+        del arrays["episodic/births"]
+        arrays["episodic/x"] = np.zeros(1)
+        self.refused(arrays, "does not: 'episodic/x'")
+
     def test_pattern_width_mismatch_is_data_error(self):
         src = EpisodicStore(dim=3, capacity=2, queue_capacity=1)
         src.update(np.ones((1, 3)))

@@ -482,6 +482,15 @@ class TestTrainerBehavior:
         assert mae(block, block + 0.5) == pytest.approx(0.5)
         assert mse(block, block + 0.5) == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("which", ["val", "test"])
+    def test_evaluate_overflow_is_numeric_error(self, which):
+        trainer = tiny_trainer()
+        huge = [win._replace(lookback=np.full_like(win.lookback, 1e300))
+                for win in getattr(trainer.data, which)]
+        setattr(trainer.data, which, huge)
+        with pytest.raises(NumericError, match=f"^evaluating the {which} split: overflow"):
+            trainer.evaluate(which)
+
     def test_evaluate_untrained_band(self):
         # untrained forecasts stay within a broad multiple of the data scale
         trainer = tiny_trainer(synth_length=500)

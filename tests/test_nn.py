@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -520,6 +521,36 @@ class TestCheckpoint:
         checkpoint.save(str(p1), arrays, {"x": 1})
         checkpoint.save(str(p2), arrays, {"x": 1})
         assert p1.read_bytes() == p2.read_bytes()
+
+    @staticmethod
+    def pinned():
+        """Float64 and int64 arrays: 3-D, 1-D, an empty store column and a counter."""
+        rng = np.random.default_rng(20)
+        return {"param/w": rng.standard_normal((2, 3, 4)),
+                "param/b": rng.standard_normal(5),
+                "episodic/patterns": np.zeros((1, 0, 4)),
+                "episodic/freqs": rng.integers(-5, 5, size=(2, 3), dtype=np.int64),
+                "episodic/birth_counter": np.array([7], dtype=np.int64)}
+
+    def test_saved_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "pinned.bin"
+        checkpoint.save(str(path), self.pinned(), {"seed": 20, "step": 3})
+        blob = path.read_bytes()
+        assert len(blob) == 470
+        assert hashlib.sha256(blob).hexdigest() == (
+            "c70f8a2c8fe0e12a88f6607fe9691cd646ae7a890e90d7144dd99bf255c146ec")
+
+    def test_loads_read_only_little_endian_arrays(self, tmp_path):
+        arrays = self.pinned()
+        path = tmp_path / "pinned.bin"
+        checkpoint.save(str(path), arrays, {"seed": 20})
+        loaded, meta = checkpoint.load(str(path))
+        assert meta == {"seed": 20} and list(loaded) == sorted(arrays)
+        for name, want in arrays.items():
+            got = loaded[name]
+            assert got.dtype == want.dtype and got.dtype.str in ("<f8", "<i8")
+            assert got.shape == want.shape and not got.flags.writeable
+            np.testing.assert_array_equal(got, want)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -72,6 +72,11 @@ class TestMakeSchedule:
         with pytest.raises(DataError):
             make_schedule(0)
 
+    @pytest.mark.parametrize("steps,beta", [(10, [0.5]), (1, [0.1, 0.2]), (2, [[0.1, 0.2]] * 2)])
+    def test_rejects_beta_of_another_length(self, steps, beta):
+        with pytest.raises(DataError, match=f"for a {steps}-step schedule"):
+            make_schedule(steps, beta=beta)
+
     def test_rejects_bad_beta(self):
         with pytest.raises(InvariantError):
             NoiseSchedule(np.array([0.0, 0.5]))
