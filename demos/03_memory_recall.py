@@ -24,7 +24,7 @@ for query in ([2.0, 0.1], [1.0, 1.0], [-3.0, 0.2]):
     out, trace = mem.recall(q)
     scores = mem.scores(q)[0]
     print(f"query {query}: scores {np.round(scores, 3)} "
-          f"-> weights {np.round(trace.weights[0], 3)} -> recall {np.round(out[0], 3)}")
+          f"-> weights {np.round(trace.weights[0, 0], 3)} -> recall {np.round(out[0], 3)}")
 
 # -- episodic: fill, queue, recall counting, eviction ----------------------
 def show(store, label):

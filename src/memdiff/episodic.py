@@ -71,7 +71,6 @@ class EpisodicStore:
         # the same columns with groups and rows merged: group g's row i is
         # flat row g * rows + i
         self._flat = tuple(col.reshape(-1, *col.shape[2:]) for col in self._columns)
-        self._base = rows * np.arange(groups)[:, None]
         self._rows = np.arange(rows)
         self._n_main = 0    # rows [0, _n_main) of every group are its main slots
         self._n_queue = 0   # the next _n_queue rows the queue, head first
@@ -135,9 +134,8 @@ class EpisodicStore:
     def count(self, trace: "attention.ReadTrace | None"):
         """Increment each record's freq once per query row of trace that picked it."""
         if trace is not None:
-            freqs = self._flat[2]
-            freqs += np.bincount((trace.idx.reshape(self.groups, -1) + self._base).ravel(),
-                                 minlength=freqs.size)
+            freqs, starts = self._flat[2], attention.group_starts(self.groups, len(self._rows))
+            freqs += np.bincount((trace.idx + starts).ravel(), minlength=freqs.size)
 
     def recall_backward(self, trace: "attention.ReadTrace | None",
                         upstream: np.ndarray) -> np.ndarray:
@@ -185,7 +183,8 @@ class EpisodicStore:
             # pool: the main slots, then the popped records tail first
             pool = np.concatenate((self._rows[:cap], self._rows[tail:tail - n_pop:-1]))
             rank = np.lexsort((self._births[:, pool], -self._freqs[:, pool]), axis=-1)
-            keep = pool[rank[:, :cap]] + self._base            # flat rows, (G, cap)
+            starts = attention.group_starts(self.groups, len(self._rows))[:, 0]
+            keep = pool[rank[:, :cap]] + starts               # flat rows, (G, cap)
             self._n_queue -= n_pop
             for col, flat in zip(self._columns, self._flat):
                 col[:, :cap] = flat.take(keep, axis=0)

@@ -104,12 +104,17 @@ class ParamStore:
 
     def reader(self, arrays: "dict[str, np.ndarray]", prefix: str):
         """Check a checkpoint's ``named(prefix)`` arrays (DataError if one is missing,
-        misshapen or extra); return write(flat=None), copying them to the tensors or flat."""
+        misshapen, not all finite float64, or extra); return write(flat=None), copying
+        them to the tensors or flat."""
         own = self.named(prefix)
         for name, view in own.items():
-            if require(arrays, name).shape != view.shape:
-                raise DataError(f"checkpoint shape {arrays[name].shape} != {view.shape} "
+            stored = require(arrays, name)
+            if stored.shape != view.shape:
+                raise DataError(f"checkpoint shape {stored.shape} != {view.shape} "
                                 f"for parameter {name[len(prefix):]!r} in {name!r}")
+            if stored.dtype != np.float64 or not np.isfinite(stored).all():
+                raise DataError(f"checkpoint array {name!r} ({stored.dtype}) "
+                                "is not all finite float64")
         refuse_extra(arrays, prefix, own)
 
         def write(flat: "np.ndarray | None" = None):

@@ -23,13 +23,13 @@ REJITTER_NORM = 1e-8
 
 @dataclass
 class SemanticLossTrace:
-    """Rows are group-major, as in attention.ReadTrace."""
+    """Row arrays grouped (G, R', ...), as in attention.ReadTrace."""
 
-    nearest: np.ndarray        # per-row parameter row of the most similar block
+    nearest: np.ndarray        # (G, R') parameter row of each query's most similar block
     second: "np.ndarray | None"
     hinge_active: "np.ndarray | None"
-    d1: np.ndarray             # query minus its nearest block
-    d2: "np.ndarray | None"    # query minus its second-nearest block
+    d1: np.ndarray             # (G, R', d) query minus its nearest block
+    d2: "np.ndarray | None"    # (G, R', d) query minus its second-nearest block
 
 
 class SemanticMemory:
@@ -52,7 +52,7 @@ class SemanticMemory:
         return self.blocks.values.shape[0] // self.groups
 
     def _split(self, a: np.ndarray) -> np.ndarray:
-        """(G*X, ...) group-major array as (G, X, ...)."""
+        """The (G*N1, d) block values or grads as (G, N1, d)."""
         return a.reshape(self.groups, -1, *a.shape[1:])
 
     def rejitter(self, rng: np.random.Generator):
@@ -91,18 +91,17 @@ class SemanticMemory:
         """
         order, _ = attention.top_k(trace.scores, min(2, self.count))
         # block index within the group -> row of the (G*N1, d) parameter
-        order = (order.reshape(self.groups, -1, order.shape[1])
-                 + attention.group_starts(self.groups, self.count)).reshape(order.shape)
+        order += attention.group_starts(self.groups, self.count)
         queries, blocks = trace.rows, self.blocks.values
-        nearest = order[:, 0]
+        nearest = order[..., 0]
         d1 = queries - blocks.take(nearest, axis=0)
-        sq1 = (d1 * d1).sum(axis=1)
+        sq1 = (d1 * d1).sum(axis=-1)
         l1 = float(sq1.sum())
         if self.count < 2:
             return l1, 0.0, SemanticLossTrace(nearest, None, None, d1, None)
-        second = order[:, 1]
+        second = order[..., 1]
         d2 = queries - blocks.take(second, axis=0)
-        sq2 = (d2 * d2).sum(axis=1)
+        sq2 = (d2 * d2).sum(axis=-1)
         hinge = sq1 - sq2
         hinge += margin
         active = hinge > 0.0
@@ -115,7 +114,7 @@ class SemanticMemory:
         d_queries = 2.0 * c1 * d1
         rows, terms = [trace.nearest], [-2.0 * c1 * d1]
         if trace.second is not None and c2 != 0.0:
-            act = trace.hinge_active.astype(d1.dtype)[:, None]
+            act = trace.hinge_active.astype(d1.dtype)[..., None]
             d_queries += 2.0 * c2 * act * (d1 - d2)
             rows += [trace.nearest, trace.second]
             terms += [-2.0 * c2 * act * d1, 2.0 * c2 * act * d2]
@@ -123,6 +122,6 @@ class SemanticMemory:
         # add them; the grad is a C-order view, so reshape(-1) views it too.
         grad = self.blocks.grad
         dim = grad.shape[1]
-        at = (np.concatenate(rows)[:, None] * dim + np.arange(dim)).reshape(-1)
+        at = (np.concatenate(rows)[..., None] * dim + np.arange(dim)).reshape(-1)
         np.add.at(grad.reshape(-1), at, np.concatenate(terms).reshape(-1))
-        return attention.ungroup_rows(self._split(d_queries))
+        return attention.ungroup_rows(d_queries)

@@ -64,8 +64,9 @@ class ReferenceEpisodicStore:
         if update_freq:
             for i in idx.ravel():
                 recs[i].freq += 1
-        return out, ReadTrace(queries, idx, gathered[None], npat[idx][None], sel_scores,
-                              weights, z, nq)
+        # the grouped layout of a one-group read: (1, R, ...)
+        return out, ReadTrace(queries[None], idx[None], gathered[None], npat[idx][None],
+                              sel_scores[None], weights[None], z[None], nq[None])
 
     def update(self, new_patterns):
         new_patterns = np.atleast_2d(np.asarray(new_patterns, dtype=np.float64))

@@ -118,9 +118,9 @@ def test_criterion_4_attention_normalization():
     _, sem_trace = sem.recall(queries)
     _, epi_trace = epi.recall(queries)
     ok &= bool(np.all(sem_trace.weights >= 0.0))
-    ok &= bool(np.max(np.abs(sem_trace.weights.sum(axis=1) - 1.0)) < 1e-6)
+    ok &= bool(np.max(np.abs(sem_trace.weights.sum(axis=-1) - 1.0)) < 1e-6)
     ok &= bool(np.all(epi_trace.weights >= 0.0))
-    ok &= bool(np.max(np.abs(epi_trace.weights.sum(axis=1) - 1.0)) < 1e-6)
+    ok &= bool(np.max(np.abs(epi_trace.weights.sum(axis=-1) - 1.0)) < 1e-6)
     # single-block memory returns the block exactly
     single = SemanticMemory(ParamStore().register("one", rng.standard_normal((1, 4))))
     out, _ = single.recall(rng.standard_normal((3, 4)))

@@ -310,15 +310,42 @@ class TestCliCommands:
         assert err["message"].startswith(doing + "overflow")
         assert not (tmp_path / "run" / output).exists()
 
-    def test_nan_metric_is_numeric_error(self, tmp_path, tiny_cfg_file, capsys):
-        # a nan parameter propagates quietly, past the floating-point error checks
-        from memdiff import checkpoint
+    @pytest.fixture
+    def trained_run(self, tmp_path, tiny_cfg_file):
+        """A trained run's directory, its metrics.json removed."""
         out = tmp_path / "run"
         assert run(["train", "--config", tiny_cfg_file, "--out", str(out)]) == 0
         (out / "metrics.json").unlink()
+        return out
+
+    @pytest.mark.parametrize("command,output", [("evaluate", "metrics.json"),
+                                                ("forecast", "forecasts.csv")])
+    def test_nan_parameter_is_data_error(self, trained_run, tiny_cfg_file, capsys, command,
+                                         output):
+        from memdiff import checkpoint
+        out = trained_run
         arrays, meta = checkpoint.load(str(out / "checkpoint.bin"))
         checkpoint.save(str(out / "checkpoint.bin"),
                         {**arrays, "param/encoder/b0": np.full(8, np.nan)}, meta)
+        capsys.readouterr()
+        assert run([command, "--config", tiny_cfg_file, "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "DataError" and err["exit_code"] == 2
+        assert err["message"] == ("checkpoint array 'param/encoder/b0' (float64) "
+                                  "is not all finite float64")
+        assert not (out / output).exists()
+
+    def test_nan_metric_is_numeric_error(self, trained_run, tiny_cfg_file, capsys):
+        # a nan episodic pattern propagates quietly, past the floating-point error checks
+        from memdiff import checkpoint
+        out = trained_run
+        arrays, meta = checkpoint.load(str(out / "checkpoint.bin"))
+        patterns = arrays["episodic/patterns"].copy()
+        patterns[0, 0, 0] = np.nan
+        checkpoint.save(str(out / "checkpoint.bin"), {**arrays, "episodic/patterns": patterns},
+                        meta)
         capsys.readouterr()
         assert run(["evaluate", "--config", tiny_cfg_file, "--out", str(out)]) == 3
         lines = capsys.readouterr().err.strip().splitlines()

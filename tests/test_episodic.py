@@ -38,9 +38,9 @@ class TestRecall:
         store.update(pats[2][None, :])
         out, trace = store.recall(np.array([[1.0, 0.0]]))
         store.count(trace)
-        np.testing.assert_allclose(trace.scores[0], [0.9, 0.5], atol=1e-12)
+        np.testing.assert_allclose(trace.scores[0, 0], [0.9, 0.5], atol=1e-12)
         w = np.array([0.9 + WEIGHT_EPS, 0.5 + WEIGHT_EPS]) / (1.4 + 2 * WEIGHT_EPS)
-        np.testing.assert_allclose(trace.weights[0], w, rtol=1e-12)
+        np.testing.assert_allclose(trace.weights[0, 0], w, rtol=1e-12)
         np.testing.assert_allclose(out[0], w[0] * pats[0] + w[1] * pats[1], rtol=1e-10)
         assert [r.freq for r in store.entries] == [1, 1, 0]
 
@@ -48,7 +48,7 @@ class TestRecall:
         store = EpisodicStore(dim=2, capacity=8, queue_capacity=4, recall_top_k=5)
         store.update(np.stack([unit(10), unit(40)]))
         _, trace = store.recall(np.array([[1.0, 0.0]]))
-        assert trace.idx.shape == (1, 2)
+        assert trace.idx.shape == (1, 1, 2)
 
     def test_recall_determinism(self):
         store = EpisodicStore(dim=2, capacity=4, queue_capacity=2, recall_top_k=2)
@@ -491,9 +491,11 @@ class TestGroupParity:
                     np.testing.assert_array_equal(dq[sub], single.recall_backward(s_trace, up[sub]))
                     np.testing.assert_array_equal(scores[sub], single.scores(q[sub]))
                     assert (trace is None) == (s_trace is None)
-                    if trace is not None:
-                        np.testing.assert_array_equal(
-                            trace.idx.reshape(n, -1, trace.idx.shape[1])[j], s_trace.idx)
+                    if trace is not None:   # group j of every field is the single's one group
+                        for f in dataclasses.fields(trace):
+                            np.testing.assert_array_equal(getattr(trace, f.name)[j],
+                                                          getattr(s_trace, f.name)[0],
+                                                          err_msg=f.name)
             elif op < 0.9:
                 new = rows(n * int(rng.integers(1, n3 + 1)))
                 grouped.update(new)

@@ -296,8 +296,10 @@ class TestTrainerBehavior:
         ({"junk": np.ones(3)}, "'junk'"),
         ({"adam/x": np.ones(3)}, "adam/x"),
         ({"trainer/x": np.ones(3)}, "trainer/x"),
+        ({"param/encoder/b0": np.full(8, np.nan)}, r"'param/encoder/b0' \(float64\) is not"),
+        ({"adam/m/encoder/b0": np.ones(8, dtype=complex)}, r"'adam/m/encoder/b0' \(complex128"),
     ], ids=["step", "param", "episodic", "adam-t", "moment", "ghost-moment", "junk",
-            "adam-extra", "trainer-extra"])
+            "adam-extra", "trainer-extra", "nan-param", "complex-moment"])
     def test_refused_checkpoint_leaves_trainer_unchanged(self, tmp_path, rng, change, message):
         source = tiny_trainer(seed=4)
         source.fit()

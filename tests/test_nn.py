@@ -430,8 +430,12 @@ class TestAdamCheckpointFormat:
         ({"adam/t": np.array([-1], dtype=np.int64)}, "'adam/t'"),
         ({"adam/t": np.array([0], dtype=np.int64)}, "does not: 'adam/m/net/W0'"),
         ({"adam/t": None}, "no array 'adam/t'"),
+        ({"adam/m/net/b1": np.array([0.5, np.nan])}, r"'adam/m/net/b1' \(float64\) is not all"),
+        ({"adam/v/net/W1": np.full((2, 4), np.inf)}, r"'adam/v/net/W1' \(float64\) is not all"),
+        ({"adam/v/net/W0": np.ones((4, 3), dtype=complex)},
+         r"'adam/v/net/W0' \(complex128\) is not all finite float64"),
     ], ids=["short-m", "wide-v", "missing-v", "ghost", "empty-t", "two-t", "float-t",
-            "negative-t", "moments-at-t0", "missing-t"])
+            "negative-t", "moments-at-t0", "missing-t", "nan-m", "inf-v", "complex-v"])
     def test_refused_state_is_data_error_and_writes_nothing(self, change, message):
         _, arrays = self.stepped(seed=1)
         for name, arr in change.items():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,21 +54,21 @@ class TestRecall:
         out, trace = mem.recall(np.array([[1.0, 0.0]]))
         # scores are (1, 0): clamp+eps weights are (1+eps, eps)/(1+2eps)
         want_w = np.array([1.0 + WEIGHT_EPS, WEIGHT_EPS]) / (1.0 + 2 * WEIGHT_EPS)
-        np.testing.assert_allclose(trace.weights[0], want_w, rtol=1e-12)
+        np.testing.assert_allclose(trace.weights[0, 0], want_w, rtol=1e-12)
         np.testing.assert_allclose(out[0], want_w @ store["semantic/blocks"].values, rtol=1e-12)
 
     def test_weights_sum_to_one(self):
         _, mem = make_memory(6, 5, seed=2)
         q = np.random.default_rng(3).standard_normal((40, 5))
         _, trace = mem.recall(q)
-        np.testing.assert_allclose(trace.weights.sum(axis=1), 1.0, atol=1e-6)
+        np.testing.assert_allclose(trace.weights.sum(axis=-1), 1.0, atol=1e-6)
         assert np.all(trace.weights >= 0)
 
     def test_all_negative_scores_uniform_weights(self):
         store, mem = make_memory(3, 2)
         store["semantic/blocks"].values[...] = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         _, trace = mem.recall(np.array([[-1.0, -1.0]]))
-        np.testing.assert_allclose(trace.weights[0], np.ones(3) / 3.0)
+        np.testing.assert_allclose(trace.weights[0, 0], np.ones(3) / 3.0)
 
     def test_identical_channels_identical_memories(self):
         _, mem = make_memory(5, 3, seed=4)
@@ -143,8 +145,8 @@ class TestLosses:
         store["semantic/blocks"].values[...] = np.array([[2.0, 0.0], [4.0, 0.0], [0.0, 1.0]])
         # blocks 0 and 1 have identical cosine score 1.0 for this query
         _, _, trace = mem.losses(mem.recall(np.array([[1.0, 0.0]]))[1], margin=0.5)
-        assert trace.nearest[0] == 0
-        assert trace.second[0] == 1
+        assert trace.nearest[0, 0] == 0
+        assert trace.second[0, 0] == 1
 
     @pytest.mark.parametrize("seed", range(4))
     def test_top2_matches_stable_sort_with_ties(self, seed):
@@ -158,8 +160,8 @@ class TestLosses:
         q[np.all(q == 0, axis=1)] = 1.0
         order = np.argsort(-mem.scores(q), axis=1, kind="stable")
         _, _, trace = mem.losses(mem.recall(q)[1], margin=0.5)
-        np.testing.assert_array_equal(trace.nearest, order[:, 0])
-        np.testing.assert_array_equal(trace.second, order[:, 1])
+        np.testing.assert_array_equal(trace.nearest[0], order[:, 0])
+        np.testing.assert_array_equal(trace.second[0], order[:, 1])
 
     def test_loss_gradients_match_finite_differences(self):
         store, mem = make_memory(4, 3, seed=11)
@@ -205,12 +207,12 @@ class TestLosses:
         want_dq = 2.0 * c1 * d1
         np.add.at(want_grad, trace.nearest, -2.0 * c1 * d1)
         if c2 != 0.0:
-            act = trace.hinge_active.astype(d1.dtype)[:, None]
+            act = trace.hinge_active.astype(d1.dtype)[..., None]
             want_dq += 2.0 * c2 * act * (d1 - d2)
             np.add.at(want_grad, trace.nearest, -2.0 * c2 * act * d1)
             np.add.at(want_grad, trace.second, 2.0 * c2 * act * d2)
         np.testing.assert_array_equal(store["semantic/blocks"].grad, want_grad)
-        np.testing.assert_array_equal(dq, ungroup_rows(mem._split(want_dq)))
+        np.testing.assert_array_equal(dq, ungroup_rows(want_dq))
 
 
 class TestUpdateDynamics:
@@ -226,7 +228,7 @@ class TestUpdateDynamics:
         _, _, ltrace = mem.losses(trace, margin=1.0)
         mem.losses_backward(ltrace, 1.0, 1.0)
         Adam(store, lr=0.01).step()
-        nearest = ltrace.nearest[0]
+        nearest = ltrace.nearest[0, 0]
         assert not np.allclose(store["semantic/blocks"].values[nearest], before[nearest])
 
     def test_rejitter_restores_norm(self):
@@ -249,16 +251,27 @@ def test_weights_convex_combination_property(n_blocks, dim, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(rows=st.integers(1, 6), cols=st.integers(1, 9), seed=st.integers(0, 2**31 - 1))
-def test_top_k_picks_what_the_stable_sort_picks(rows, cols, seed):
+@given(rows=st.integers(1, 6), cols=st.integers(1, 9), groups=st.integers(1, 3),
+       seed=st.integers(0, 2**31 - 1))
+def test_top_k_picks_what_the_stable_sort_picks(rows, cols, groups, seed):
     rng = np.random.default_rng(seed)
     scores = rng.integers(-3, 4, (rows, cols)) / 3.0     # few levels: many ties
     scores[rng.random(rows) < 0.2] = np.nan                # whole-NaN rows
+    grouped = rng.integers(-3, 4, (groups, rows, cols)) / 3.0
+    grouped[rng.random((groups, rows)) < 0.2] = np.nan
     for k in range(1, cols + 1):
         want = np.argsort(-scores, axis=1, kind="stable")[:, :k]
         idx, vals = top_k(scores.copy(), k)
         np.testing.assert_array_equal(idx, want)
         np.testing.assert_array_equal(vals, np.take_along_axis(scores, want, axis=1))
+        # (G, R', n) scores: each group's picks are its own 2-D picks, bit for bit
+        idx, vals = top_k(grouped, k)
+        assert idx.shape == vals.shape == (groups, rows, k)
+        np.testing.assert_array_equal(idx, np.argsort(-grouped, axis=-1, kind="stable")[..., :k])
+        for g in range(groups):
+            want_idx, want_vals = top_k(grouped[g], k)
+            np.testing.assert_array_equal(idx[g], want_idx)
+            np.testing.assert_array_equal(vals[g], want_vals)
 
 
 def test_top_k_leaves_its_scores_unchanged():
@@ -310,11 +323,16 @@ class TestGroupParity:
                                               single.losses_backward(s_ltrace, c1, c2))
                 np.testing.assert_array_equal(grouped.blocks.grad[j * n1:(j + 1) * n1],
                                               single.blocks.grad)
-                np.testing.assert_array_equal(ltrace.nearest.reshape(n, -1)[j] - j * n1,
-                                              s_ltrace.nearest)
+                # group j of every field is the single's one group; every block was read
+                assert trace.idx is None and s_trace.idx is None
+                for f in dataclasses.fields(trace):
+                    if f.name != "idx":
+                        np.testing.assert_array_equal(getattr(trace, f.name)[j],
+                                                      getattr(s_trace, f.name)[0], err_msg=f.name)
+                np.testing.assert_array_equal(ltrace.nearest[j] - j * n1, s_ltrace.nearest[0])
                 if n1 > 1:
-                    np.testing.assert_array_equal(ltrace.second.reshape(n, -1)[j] - j * n1,
-                                                  s_ltrace.second)
+                    np.testing.assert_array_equal(ltrace.second[j] - j * n1,
+                                                  s_ltrace.second[0])
                 np.testing.assert_array_equal(grouped.scores(q)[rows], single.scores(q[rows]))
                 sums += (s_l1, s_l2)
             # one sum over every row where the singles summed per group
