@@ -133,6 +133,13 @@ def counter(arrays: "dict[str, np.ndarray]", name: str) -> int:
     return int(values[0])
 
 
+def floats(arrays: "dict[str, np.ndarray]", name: str):
+    """Raise DataError unless arrays[name] is all finite float64."""
+    values = require(arrays, name)
+    if values.dtype != np.float64 or not np.isfinite(values).all():
+        raise DataError(f"checkpoint array {name!r} ({values.dtype}) is not all finite float64")
+
+
 def refuse_extra(arrays: "dict[str, np.ndarray]", prefix: str, own):
     """Raise DataError naming every array under prefix whose name is not in own."""
     extra = sorted(name for name in arrays if name.startswith(prefix) and name not in own)

@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import string
 from dataclasses import dataclass, field
 
 from .errors import UsageError
@@ -83,64 +84,13 @@ class TrainConfig:
     synth_motif_rate: float = 0.02
 
     def validate(self):
-        positive = {   # synthetic data sets n_channels from synth_channels: name that first
-            "synth_length": self.synth_length, "synth_channels": self.synth_channels,
-            "lookback": self.lookback, "horizon": self.horizon,
-            "n_channels": self.n_channels, "latent_dim": self.latent_dim,
-            "diffusion_steps": self.diffusion_steps, "semantic_size": self.semantic_size,
-            "episodic_size": self.episodic_size, "queue_size": self.queue_size,
-            "recall_top_k": self.recall_top_k, "batch_size": self.batch_size,
-            "embed_dim": self.embed_dim, "checkpoint_every": self.checkpoint_every,
-            "stride_train": self.stride_train,
-        }
-        for name, value in positive.items():
-            if value < 1:
-                raise UsageError(f"config: {name} must be positive, got {value}")
-        nonnegative = {"epochs": self.epochs, "max_steps": self.max_steps,
-                       "patience": self.patience, "stride_eval": self.stride_eval}
-        for name, value in nonnegative.items():
-            if value < 0:
-                raise UsageError(f"config: {name} must be nonnegative, got {value}")
-        for name, widths in {"enc_hidden": self.enc_hidden, "den_hidden": self.den_hidden}.items():
-            if any(width < 1 for width in widths):
-                raise UsageError(f"config: {name} widths must be positive, got {widths}")
-        ratios = self.split_ratios
-        if ratios is not None and (len(ratios) != 3 or min(ratios) < 1):
-            raise UsageError(f"config: split_ratios must be three positive integers, "
-                             f"got {list(ratios)}")
-        for name, value in {"lr": self.lr, "grad_clip": self.grad_clip}.items():
-            if not value > 0.0:   # also rejects nan
-                raise UsageError(f"config: {name} must be positive, got {value}")
-        if self.queue_size > self.episodic_size:
-            raise UsageError("config: queue_size must not exceed episodic_size")
-        finite = {"lr": self.lr, "alpha1": self.alpha1, "alpha2": self.alpha2,
-                  "log_var_init": self.log_var_init, "margin": self.margin}
-        for name, value in finite.items():
-            if not math.isfinite(value):
-                raise UsageError(f"config: {name} must be finite, got {value}")
-        if not 0.0 <= self.synth_noise < math.inf:   # also rejects nan
-            raise UsageError(f"config: synth_noise must be finite and nonnegative, "
-                             f"got {self.synth_noise}")
-        # a rate of 1 already plants a motif at every free position of a channel
-        if not 0.0 <= self.synth_motif_rate <= 1.0:   # also rejects nan
-            raise UsageError(f"config: synth_motif_rate must lie in [0, 1], "
-                             f"got {self.synth_motif_rate}")
-        if self.alpha1 < 0 or self.alpha2 < 0:
-            raise UsageError("config: alpha1/alpha2 must be nonnegative")
-        if not 0.0 < self.beta_min <= self.beta_max < 1.0:   # also rejects nan
-            raise UsageError(f"config: need 0 < beta_min <= beta_max < 1, "
-                             f"got ({self.beta_min}, {self.beta_max})")
-        if self.embed_dim % 2:
-            raise UsageError("config: embed_dim must be even")
-        if not 1 <= self.substeps <= self.diffusion_steps:
-            raise UsageError(f"config: substeps must lie in 1..diffusion_steps "
-                             f"({self.diffusion_steps}), got {self.substeps}")
-        if self.missing_policy not in ("strict", "ffill"):
-            raise UsageError(f"config: unknown missing_policy {self.missing_policy!r}")
-        if self.use_episodic and self.shared_memory and self.n_channels > self.queue_size:
-            raise UsageError(
-                "config: n_channels patterns per episodic update exceed queue_size"
-            )
+        """self, or UsageError for the first fault in _CHECKS order."""
+        for names, fault, refusal in _CHECKS:
+            for name in names or (None,):
+                value = getattr(self, name) if name else self
+                if fault(value):
+                    raise UsageError("config: " + _Refusal().format(refusal, name=name,
+                                                                    value=value, c=self))
         return self
 
     @property
@@ -152,6 +102,46 @@ class TrainConfig:
             return tuple(self.split_ratios)
         return (3, 1, 2) if self.dataset.upper().startswith("ETT") else (7, 1, 2)
 
+
+class _Refusal(string.Formatter):   # str.format, plus {value!l}: a sequence shown as a list
+    def convert_field(self, value, conversion):
+        return list(value) if conversion == "l" else super().convert_field(value, conversion)
+
+
+# validate() checks these (field names, fault, refusal) rows in order and names the first fault:
+# fault(value) of each named field, formatting {name} and {value}; else fault(config), {c.field}
+_CHECKS = (
+    # synthetic data sets n_channels from synth_channels: name that first
+    (("synth_length", "synth_channels", "lookback", "horizon", "n_channels", "latent_dim",
+      "diffusion_steps", "semantic_size", "episodic_size", "queue_size", "recall_top_k",
+      "batch_size", "embed_dim", "checkpoint_every", "stride_train"), lambda v: v < 1,
+     "{name} must be positive, got {value}"),
+    (("epochs", "max_steps", "patience", "stride_eval", "seed"), lambda v: v < 0,
+     "{name} must be nonnegative, got {value}"),
+    (("enc_hidden", "den_hidden"), lambda v: any(width < 1 for width in v),
+     "{name} widths must be positive, got {value}"),
+    (("split_ratios",), lambda v: v is not None and (len(v) != 3 or min(v) < 1),
+     "{name} must be three positive integers, got {value!l}"),
+    (("lr", "grad_clip"), lambda v: not v > 0.0,   # also refuses nan
+     "{name} must be positive, got {value}"),
+    ((), lambda c: c.queue_size > c.episodic_size, "queue_size must not exceed episodic_size"),
+    (("lr", "alpha1", "alpha2", "log_var_init", "margin"), lambda v: not math.isfinite(v),
+     "{name} must be finite, got {value}"),
+    (("synth_noise",), lambda v: not 0.0 <= v < math.inf,   # also refuses nan
+     "{name} must be finite and nonnegative, got {value}"),
+    # a rate of 1 already plants a motif at every free position of a channel
+    (("synth_motif_rate",), lambda v: not 0.0 <= v <= 1.0,
+     "{name} must lie in [0, 1], got {value}"),
+    (("alpha1", "alpha2"), lambda v: v < 0, "alpha1/alpha2 must be nonnegative"),
+    ((), lambda c: not 0.0 < c.beta_min <= c.beta_max < 1.0,   # also refuses nan
+     "need 0 < beta_min <= beta_max < 1, got ({c.beta_min}, {c.beta_max})"),
+    (("embed_dim",), lambda v: v % 2, "{name} must be even"),
+    ((), lambda c: not 1 <= c.substeps <= c.diffusion_steps,
+     "substeps must lie in 1..diffusion_steps ({c.diffusion_steps}), got {c.substeps}"),
+    (("missing_policy",), lambda v: v not in ("strict", "ffill"), "unknown {name} {value!r}"),
+    ((), lambda c: c.use_episodic and c.shared_memory and c.n_channels > c.queue_size,
+     "n_channels patterns per episodic update exceed queue_size"),
+)
 
 # section name keyed by its first field; TrainConfig declares fields in section order
 _SECTIONS = {"dataset": "data", "lookback": "model", "diffusion_steps": "diffusion",
@@ -237,16 +227,11 @@ def load_config(path: "str | None", overrides: "list[str] | None" = None) -> Tra
                 val = _as_bool(val)
             elif isinstance(current, int):
                 val = _as_int(val)
-            elif isinstance(current, float):
-                if isinstance(val, bool):
-                    raise ValueError(val)
+            elif isinstance(current, float) and not isinstance(val, bool):
                 val = float(val)
-            elif isinstance(current, str):
-                if not isinstance(val, str):   # quote a number meant as a string
-                    raise ValueError(val)
+            elif not isinstance(val, type(current)):   # str or list: quote a number meant as text
+                raise ValueError(val)
             elif isinstance(current, list):
-                if not isinstance(val, list):
-                    raise UsageError(f"config: {key} expects a list, got {val!r}")
                 val = [_as_int(v) for v in val]
         except (TypeError, ValueError):
             raise UsageError(f"config: {key} cannot take the value {val!r}") from None

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attention
-from .checkpoint import counter, refuse_extra, require
+from .checkpoint import counter, floats, refuse_extra, require
 from .errors import DataError, InvariantError
 
 
@@ -206,10 +206,10 @@ class EpisodicStore:
 
     def reader(self, arrays: "dict[str, np.ndarray]"):
         """Check a state_arrays dict (DataError for a missing, misshapen or foreign array,
-        or records the store cannot hold); return write(), which restores it."""
+        patterns not all finite float64, counts not all nonnegative integers, or records
+        the store cannot hold); return write(), which restores it."""
         refuse_extra(arrays, "episodic/", self.STATE)
         pats, freqs, births = (require(arrays, name) for name in self.STATE[:3])
-        pats = np.asarray(pats, dtype=np.float64)
         if pats.ndim != 3 or pats.shape[0] != self.groups or pats.shape[2] != self.dim:
             raise DataError(f"episodic/patterns is shaped {pats.shape}, "
                             f"expected ({self.groups}, records, {self.dim})")
@@ -226,6 +226,11 @@ class EpisodicStore:
                             f"capacity {self.capacity} and queue capacity {self.queue_capacity}")
         if n_queue and n_main < self.capacity:
             raise DataError("episodic state queues records while main slots are free")
+        floats(arrays, self.STATE[0])
+        for name, counts in zip(self.STATE[1:3], (freqs, births)):
+            if counts.dtype.kind not in "iu" or (counts < 0).any():
+                raise DataError(f"checkpoint array {name!r} ({counts.dtype}) "
+                                "is not all nonnegative integers")
 
         def write():
             self._n_main, self._n_queue, self._birth = n_main, n_queue, birth

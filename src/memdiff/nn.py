@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import counter, refuse_extra, require
+from .checkpoint import counter, floats, refuse_extra, require
 from .errors import DataError, InvariantError, NumericError
 
 # Adam updates the arena this many coordinates at a time, so its scratch
@@ -112,9 +112,7 @@ class ParamStore:
             if stored.shape != view.shape:
                 raise DataError(f"checkpoint shape {stored.shape} != {view.shape} "
                                 f"for parameter {name[len(prefix):]!r} in {name!r}")
-            if stored.dtype != np.float64 or not np.isfinite(stored).all():
-                raise DataError(f"checkpoint array {name!r} ({stored.dtype}) "
-                                "is not all finite float64")
+            floats(arrays, name)
         refuse_extra(arrays, prefix, own)
 
         def write(flat: "np.ndarray | None" = None):

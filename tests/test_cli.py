@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import re
 import warnings
@@ -9,8 +10,10 @@ import numpy as np
 import pytest
 
 from memdiff.cli import build_parser, run
-from memdiff.config import TrainConfig, config_hash, load_config, parse_config_text, resolved_text
+from memdiff.config import (_CHECKS, TrainConfig, config_hash, load_config, parse_config_text,
+                            resolved_text)
 from memdiff.errors import UsageError
+from memdiff.trainer import Trainer
 
 TINY = """
 [model]
@@ -127,6 +130,19 @@ class TestConfig:
             TrainConfig(embed_dim=7).validate()
         with pytest.raises(UsageError):
             TrainConfig(alpha1=-0.1).validate()
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"synth_channels": 0, "n_channels": 0}, "synth_channels must be positive, got 0"),
+        ({"epochs": -1, "lr": 0.0}, "epochs must be nonnegative, got -1"),
+        ({"lr": math.nan}, "lr must be positive, got nan"),
+        ({"queue_size": 99, "alpha1": math.nan}, "queue_size must not exceed episodic_size"),
+        ({"lookback": 0.5}, "lookback must be positive, got 0.5"),
+    ], ids=["synth-channels-first", "epochs-before-lr", "nan-lr-not-positive",
+            "queue-before-finite", "fractional-lookback"])
+    def test_validate_names_the_earlier_check(self, fields, message):
+        with pytest.raises(UsageError) as info:
+            TrainConfig(**fields).validate()
+        assert str(info.value) == f"config: {message}"
 
 
 class TestCliCommands:
@@ -337,15 +353,41 @@ class TestCliCommands:
                                   "is not all finite float64")
         assert not (out / output).exists()
 
-    def test_nan_metric_is_numeric_error(self, trained_run, tiny_cfg_file, capsys):
-        # a nan episodic pattern propagates quietly, past the floating-point error checks
+    @pytest.mark.parametrize("name,change,message", [
+        ("patterns", lambda a: np.r_[np.nan, a.ravel()[1:]].reshape(a.shape),
+         "checkpoint array 'episodic/patterns' (float64) is not all finite float64"),
+        ("patterns", lambda a: a + 0j,
+         "checkpoint array 'episodic/patterns' (complex128) is not all finite float64"),
+        ("freqs", lambda a: a + 0.5,
+         "checkpoint array 'episodic/freqs' (float64) is not all nonnegative integers"),
+    ], ids=["nan-pattern", "complex-pattern", "float-freqs"])
+    def test_malformed_episodic_state_is_data_error(self, trained_run, tiny_cfg_file, capsys,
+                                                    name, change, message):
         from memdiff import checkpoint
         out = trained_run
         arrays, meta = checkpoint.load(str(out / "checkpoint.bin"))
-        patterns = arrays["episodic/patterns"].copy()
-        patterns[0, 0, 0] = np.nan
-        checkpoint.save(str(out / "checkpoint.bin"), {**arrays, "episodic/patterns": patterns},
-                        meta)
+        name = f"episodic/{name}"
+        checkpoint.save(str(out / "checkpoint.bin"), {**arrays, name: change(arrays[name])}, meta)
+        capsys.readouterr()
+        assert run(["forecast", "--config", tiny_cfg_file, "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "DataError" and err["exit_code"] == 2
+        assert err["message"] == message
+        assert not (out / "forecasts.csv").exists()
+
+    def test_nan_metric_is_numeric_error(self, trained_run, tiny_cfg_file, capsys, monkeypatch):
+        # a checkpoint with a nan pattern is refused, so the nan enters the store after a
+        # checked load; it propagates quietly, past the floating-point error checks
+        load = Trainer.load_checkpoint
+
+        def load_then_poison(trainer, path):
+            load(trainer, path)
+            store = trainer.model.episodic
+            store._patterns[0, 0, 0] = store._norms[0, 0] = np.nan
+        monkeypatch.setattr(Trainer, "load_checkpoint", load_then_poison)
+        out = trained_run
         capsys.readouterr()
         assert run(["evaluate", "--config", tiny_cfg_file, "--out", str(out)]) == 3
         lines = capsys.readouterr().err.strip().splitlines()
@@ -426,6 +468,7 @@ class TestCliCommands:
         ("substeps=5", "substeps must lie in 1..diffusion_steps (4), got 5"),
         ("threads=1", "unknown key 'threads'"),
         ("epochs=-1", "epochs must be nonnegative, got -1"),
+        ("seed=-1", "seed must be nonnegative, got -1"),
         ("max_steps=-1", "max_steps must be nonnegative, got -1"),
         ("patience=-1", "patience must be nonnegative, got -1"),
         ("stride_train=0", "stride_train must be positive, got 0"),
@@ -435,6 +478,7 @@ class TestCliCommands:
         ("lr=abc", "lr cannot take the value 'abc'"),
         ("epochs=abc", "epochs cannot take the value 'abc'"),
         ("enc_hidden=[\"a\"]", "enc_hidden cannot take the value ['a']"),
+        ("enc_hidden=5", "enc_hidden cannot take the value 5"),
         ("split_ratios=5", "split_ratios cannot take the value 5"),
         ("beta_max=1.5", "need 0 < beta_min <= beta_max < 1, got (0.05, 1.5)"),
         ("beta_min=0", "need 0 < beta_min <= beta_max < 1, got (0.0, 0.55)"),
@@ -490,7 +534,7 @@ class TestCliCommands:
         assert not out.exists()
 
     @pytest.mark.parametrize("setting", ["synth_motif_rate=inf", "synth_motif_rate=nan",
-                                         "synth_noise=nan", "synth_noise=-1"])
+                                         "synth_noise=nan", "synth_noise=-1", "seed=-1"])
     def test_synth_refuses_a_bad_setting_before_writing(self, tmp_path, tiny_cfg_file, capsys,
                                                         setting):
         out = tmp_path / "run"
@@ -498,6 +542,16 @@ class TestCliCommands:
                     "--set", setting]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "UsageError" and setting.split("=")[0] in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_negative_seed_flag_is_usage_error(self, tmp_path, tiny_cfg_file, capsys, command):
+        out = tmp_path / "run"
+        assert run([command, "--config", tiny_cfg_file, "--out", str(out), "--seed", "-1"]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "UsageError", "exit_code": 1,
+                                        "message": "config: seed must be nonnegative, got -1"}
         assert not out.exists()
 
     @pytest.mark.parametrize("command,sets,message", [
@@ -651,6 +705,11 @@ class TestReadme:
         bullets = self.between("Main fields and defaults:", "\n## ")
         names = set(re.findall(r"`([a-z][a-z0-9_]*)`", bullets))
         assert names == {f.name for f in dataclasses.fields(TrainConfig)}
+
+    def test_range_list_names_every_checked_field(self):
+        ranges = self.between("a value out of its range", "A value its field's type")
+        listed = set(re.findall(r"`([a-z][a-z0-9_]*)`", ranges))
+        assert {name for names, _, _ in _CHECKS for name in names} - listed == set()
 
     def test_package_names_resolve(self):
         import memdiff
