@@ -9,7 +9,7 @@ horizon block from a lookback block.
 
 from .config import TrainConfig, load_config
 from .data import ChannelStats, Dataset, SeriesWindow, SynthSpec, load_csv, split, synth_generate, windows
-from .denoiser import ddim_sample, ddpm_sample, ddpm_step, denoise_predict, step_embedding
+from .denoiser import ddim_sample, ddpm_sample, ddpm_step, step_embedding
 from .episodic import EpisodicStore, select_special
 from .errors import DataError, InvariantError, MemdiffError, NumericError, UsageError
 from .model import ForecastModel, StepDraws, draw_step_randomness
@@ -26,7 +26,7 @@ __all__ = [
     "Mlp", "NoiseSchedule", "NumericError", "ParamStore", "ParamTensor",
     "PreparedData", "SemanticMemory", "SeriesWindow", "StepDraws",
     "SynthSpec", "TrainConfig", "Trainer", "UsageError", "ddim_sample",
-    "ddpm_sample", "ddpm_step", "denoise_predict", "draw_step_randomness",
+    "ddpm_sample", "ddpm_step", "draw_step_randomness",
     "finite_diff_check", "forward_sample", "load_config", "load_csv", "mae",
     "make_schedule", "mse", "posterior_mean_var", "prepare", "select_special",
     "split", "step_embedding", "synth_generate", "windows",

@@ -49,19 +49,6 @@ def denoise_rows_backward(net: Mlp, trace, upstream: np.ndarray, horizon: int) -
     return net.backward(trace, upstream, slice(horizon, 2 * horizon))
 
 
-def denoise_predict(net: Mlp, y_k: np.ndarray, k_embed: np.ndarray,
-                    c: np.ndarray) -> np.ndarray:
-    """Single-window x0 prediction: (H, N) blocks in, (H, N) prediction out.
-
-    k_embed is the (E,) step embedding of y_k's step, shared by every channel.
-    """
-    if y_k.shape != c.shape:
-        raise DataError(f"noisy block {y_k.shape} != condition {c.shape}")
-    emb = k_embed[None, :].repeat(y_k.shape[1], axis=0)
-    out, _ = denoise_rows(net, y_k.T, c.T, emb)
-    return out.T
-
-
 def ddpm_step(y_k: np.ndarray, k: int, y0_hat: np.ndarray, sched: NoiseSchedule,
               noise: "np.ndarray | None") -> np.ndarray:
     """One ancestral reverse step toward k-1.
@@ -76,14 +63,9 @@ def ddpm_step(y_k: np.ndarray, k: int, y0_hat: np.ndarray, sched: NoiseSchedule,
     return out
 
 
-def sampling_steps(steps: int, substeps: int) -> "list[int]":
-    """Strictly decreasing step subsequence from K toward 1."""
-    return list(_sampling_steps(steps, substeps))
-
-
 @functools.lru_cache(maxsize=64)
-def _sampling_steps(steps: int, substeps: int) -> "tuple[int, ...]":
-    """sampling_steps as an immutable tuple, computed once per (steps, substeps)."""
+def sampling_steps(steps: int, substeps: int) -> "tuple[int, ...]":
+    """Strictly decreasing step subsequence from K toward 1, computed once per pair."""
     if not 1 <= substeps <= steps:
         raise DataError(f"substeps must lie in 1..{steps}, got {substeps}")
     ks = np.unique(np.round(np.linspace(steps, 1, substeps)).astype(int))[::-1]
@@ -103,11 +85,10 @@ def ddim_sample(predict_fn, horizon: int, n_channels: int, sched: NoiseSchedule,
     from the Gaussian start through the model's x0 prediction.
     """
     y = init_noise(rng, horizon, n_channels)
-    ks = _sampling_steps(sched.steps, substeps)
+    ks = sampling_steps(sched.steps, substeps)
     signal_scale, noise_scale = sched.sqrt_alpha_bar, sched.sqrt_one_minus_alpha_bar
-    for i, k in enumerate(ks):
+    for k, k_next in zip(ks, ks[1:] + (0,)):
         y0_hat = predict_fn(y, k)
-        k_next = ks[i + 1] if i + 1 < len(ks) else 0
         if k_next == 0:
             y = y0_hat
         else:

@@ -194,19 +194,23 @@ class ForecastModel:
 
     # -- inference ----------------------------------------------------------
 
-    def condition_for(self, x0: np.ndarray):
-        """Deterministic inference-time condition (H, N) plus the queries."""
-        h, _ = conditioning.encode(self.enc, x0)
-        c_rows, _ = self.condition_rows(h)
-        return c_rows.T, h
+    def _queries(self, x0: np.ndarray) -> np.ndarray:
+        """Channel queries (N, d) of one lookback block, refused before any recall
+        unless it is (L, N)."""
+        want = (self.cfg.lookback, self.cfg.n_channels)
+        if np.shape(x0) != want:
+            raise DataError(f"lookback shaped {np.shape(x0)}, expected {want}")
+        return conditioning.encode(self.enc, x0)[0]
 
     def forecast(self, x0: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Predict the (H, N) horizon for one normalized lookback block."""
+        """Predict the (H, N) horizon for one normalized lookback block, on (N, ·)
+        channel rows through the row functions the training loss uses."""
         cfg = self.cfg
-        c, _ = self.condition_for(x0)
+        c_rows, _ = self.condition_rows(self._queries(x0))
 
         def predict(y_k, k):
-            return denoiser.denoise_predict(self.den, y_k, self.step_table[k - 1], c)
+            emb = self.step_table[k - 1:k].repeat(cfg.n_channels, axis=0)
+            return denoiser.denoise_rows(self.den, y_k.T, c_rows, emb)[0].T
 
         if cfg.ancestral:
             return denoiser.ddpm_sample(predict, cfg.horizon, cfg.n_channels, self.sched, rng)
@@ -217,7 +221,7 @@ class ForecastModel:
         """(semantic (N, N1) or None, episodic (N, records) or None) for one window.
 
         Row j scores channel j's query against the memory of its group."""
-        h, _ = conditioning.encode(self.enc, x0)
+        h = self._queries(x0)
         sem = self.semantic.scores(h) if self.semantic is not None else None
         epi = self.episodic.scores(h) if self.episodic is not None else None
         return sem, epi

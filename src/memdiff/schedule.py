@@ -37,6 +37,8 @@ class NoiseSchedule:
     beta_tilde: np.ndarray = field(init=False)
     sqrt_alpha_bar: np.ndarray = field(init=False)             # forward_sample's
     sqrt_one_minus_alpha_bar: np.ndarray = field(init=False)   # two coefficients
+    post_xk: np.ndarray = field(init=False)   # posterior mean's coefficient on x^k
+    post_x0: np.ndarray = field(init=False)   # and on x^0
 
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=np.float64)
@@ -51,9 +53,12 @@ class NoiseSchedule:
         # beta_tilde_k = (1 - abar_{k-1}) / (1 - abar_k) * beta_k, abar_0 = 1
         abar_prev = np.concatenate(([1.0], alpha_bar[:-1]))
         beta_tilde = (1.0 - abar_prev) / (1.0 - alpha_bar) * beta
+        post_xk = np.sqrt(alpha) * (1.0 - abar_prev) / (1.0 - alpha_bar)
+        post_x0 = np.sqrt(abar_prev) * beta / (1.0 - alpha_bar)
         for name, table in (("beta", beta), ("alpha", alpha), ("alpha_bar", alpha_bar),
                             ("beta_tilde", beta_tilde), ("sqrt_alpha_bar", np.sqrt(alpha_bar)),
-                            ("sqrt_one_minus_alpha_bar", np.sqrt(1.0 - alpha_bar))):
+                            ("sqrt_one_minus_alpha_bar", np.sqrt(1.0 - alpha_bar)),
+                            ("post_xk", post_xk), ("post_x0", post_x0)):
             table.setflags(write=False)
             object.__setattr__(self, name, table)
 
@@ -154,17 +159,6 @@ def forward_sample(x0: np.ndarray, k: "int | np.ndarray", noise: np.ndarray,
     return out
 
 
-def posterior_coefficients(k: int, sched: NoiseSchedule) -> "tuple[float, float]":
-    """(coef on x^k, coef on x^0) of the forward-process posterior mean."""
-    sched._check_step(k)
-    abar_k = sched.alpha_bar[k - 1]
-    abar_prev = sched.alpha_bar_prev(k)
-    denom = 1.0 - abar_k
-    coef_xk = np.sqrt(sched.alpha[k - 1]) * (1.0 - abar_prev) / denom
-    coef_x0 = np.sqrt(abar_prev) * sched.beta[k - 1] / denom
-    return float(coef_xk), float(coef_x0)
-
-
 def posterior_mean_var(
     x0: np.ndarray, xk: np.ndarray, k: int, sched: NoiseSchedule
 ) -> "tuple[np.ndarray, float]":
@@ -176,6 +170,6 @@ def posterior_mean_var(
     xk = np.asarray(xk, dtype=np.float64)
     if x0.shape != xk.shape:
         raise DataError(f"x0 shape {x0.shape} != xk shape {xk.shape}")
-    coef_xk, coef_x0 = posterior_coefficients(k, sched)
-    mean = coef_xk * xk + coef_x0 * x0
+    sched._check_step(k)
+    mean = sched.post_xk[k - 1] * xk + sched.post_x0[k - 1] * x0
     return mean, float(sched.beta_tilde[k - 1])

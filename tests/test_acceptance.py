@@ -20,6 +20,7 @@ from memdiff import (EpisodicStore, ForecastModel, SynthSpec, TrainConfig, Train
                      draw_step_randomness, finite_diff_check, make_schedule,
                      posterior_mean_var, prepare, synth_generate)
 from memdiff.attention import clamp_normalize
+from memdiff.conditioning import encode
 from memdiff.denoiser import ddim_sample, ddpm_step
 from memdiff.semantic import SemanticMemory
 from memdiff.nn import ParamStore
@@ -282,9 +283,9 @@ def test_criterion_8_channel_sharing():
         model = ForecastModel(cfg, np.random.default_rng(4))
         for _ in range(3):
             model.episodic.update(rng.standard_normal((3, cfg.latent_dim)))
-        c, _ = model.condition_for(x0)
+        c, _ = model.condition_rows(encode(model.enc, x0)[0])
         pred = model.forecast(x0, np.random.default_rng(6))
-        same_memory = np.array_equal(c[:, 0], c[:, 1])
+        same_memory = np.array_equal(c[0], c[1])
         same_forecast = np.array_equal(pred[:, 0], pred[:, 1])
         ok &= (same_memory == expect_dup) and (same_forecast == expect_dup)
     report(8, ok, "duplicated channel duplicates recall+forecast iff shared_memory")

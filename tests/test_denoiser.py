@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from memdiff import Mlp, ParamStore, make_schedule
-from memdiff.denoiser import (ddim_sample, ddpm_sample, ddpm_step, denoise_predict,
-                              denoise_rows, denoise_rows_backward, sampling_steps,
-                              step_embedding)
+from memdiff.denoiser import (ddim_sample, ddpm_sample, ddpm_step, denoise_rows,
+                              denoise_rows_backward, sampling_steps, step_embedding)
 from memdiff.errors import DataError
 from memdiff.schedule import posterior_mean_var
 
@@ -36,29 +35,34 @@ def make_denoiser(horizon=4, embed_dim=6, seed=0):
     return store, net
 
 
-class TestDenoisePredict:
+def predict_rows(net, cond, embed_dim=6):
+    """Sampler predict_fn over an (H, N) condition block: one denoise_rows pass on the
+    channel rows, every row given step k's embedding."""
+    def predict(y_k, k):
+        emb = np.tile(step_embedding(k, embed_dim), (y_k.shape[1], 1))
+        return denoise_rows(net, y_k.T, cond.T, emb)[0].T
+    return predict
+
+
+class TestDenoiseRows:
     def test_duplicated_channels_duplicated_predictions(self):
         _, net = make_denoiser()
         rng = np.random.default_rng(1)
-        y_col = rng.standard_normal(4)
-        c_col = rng.standard_normal(4)
-        y_k = np.stack([y_col, y_col, rng.standard_normal(4)], axis=1)
-        c = np.stack([c_col, c_col, rng.standard_normal(4)], axis=1)
-        out = denoise_predict(net, y_k, step_embedding(2, 6), c)
-        np.testing.assert_array_equal(out[:, 0], out[:, 1])
-        assert not np.allclose(out[:, 0], out[:, 2])
+        y_row = rng.standard_normal(4)
+        c_row = rng.standard_normal(4)
+        y_k = np.stack([y_row, y_row, rng.standard_normal(4)])
+        c = np.stack([c_row, c_row, rng.standard_normal(4)])
+        out, _ = denoise_rows(net, y_k, c, np.tile(step_embedding(2, 6), (3, 1)))
+        np.testing.assert_array_equal(out[0], out[1])
+        assert not np.allclose(out[0], out[2])
 
     def test_zero_final_layer_gives_bias(self):
         store, net = make_denoiser()
         store["denoiser/W1"].values[...] = 0.0
-        out = denoise_predict(net, np.ones((4, 3)), step_embedding(1, 6), np.ones((4, 3)))
+        out, _ = denoise_rows(net, np.ones((3, 4)), np.ones((3, 4)),
+                              np.tile(step_embedding(1, 6), (3, 1)))
         for j in range(3):
-            np.testing.assert_array_equal(out[:, j], store["denoiser/b1"].values)
-
-    def test_shape_mismatch(self):
-        _, net = make_denoiser()
-        with pytest.raises(DataError):
-            denoise_predict(net, np.ones((4, 3)), step_embedding(1, 6), np.ones((4, 2)))
+            np.testing.assert_array_equal(out[j], store["denoiser/b1"].values)
 
     def test_backward_matches_finite_differences(self):
         store, net = make_denoiser(seed=3)
@@ -131,8 +135,8 @@ class TestSamplers:
         return lambda y_k, k: truth
 
     def test_sampling_steps(self):
-        assert sampling_steps(10, 1) == [10]
-        assert sampling_steps(10, 10) == list(range(10, 0, -1))
+        assert sampling_steps(10, 1) == (10,)
+        assert sampling_steps(10, 10) == tuple(range(10, 0, -1))
         ks = sampling_steps(10, 4)
         assert ks[0] == 10 and ks[-1] == 1
         assert all(a > b for a, b in zip(ks, ks[1:]))
@@ -157,11 +161,7 @@ class TestSamplers:
     def test_fixed_seed_bit_identical(self):
         sched = make_schedule(10)
         _, net = make_denoiser(horizon=6, embed_dim=6, seed=9)
-        c = np.random.default_rng(10).standard_normal((6, 3))
-
-        def predict(y_k, k):
-            return denoise_predict(net, y_k, step_embedding(k, 6), c)
-
+        predict = predict_rows(net, np.random.default_rng(10).standard_normal((6, 3)))
         a = ddim_sample(predict, 6, 3, sched, 3, np.random.default_rng(42))
         b = ddim_sample(predict, 6, 3, sched, 3, np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
@@ -171,12 +171,8 @@ class TestSamplers:
         _, net = make_denoiser(horizon=5, embed_dim=6, seed=11)
         c = np.random.default_rng(12).standard_normal((5, 4))
         perm = np.array([2, 0, 3, 1])
-
-        def predict_for(cond):
-            return lambda y_k, k: denoise_predict(net, y_k, step_embedding(k, 6), cond)
-
-        base = ddim_sample(predict_for(c), 5, 4, sched, 2, np.random.default_rng(13))
-        permuted = ddim_sample(predict_for(c[:, perm]), 5, 4, sched, 2,
+        base = ddim_sample(predict_rows(net, c), 5, 4, sched, 2, np.random.default_rng(13))
+        permuted = ddim_sample(predict_rows(net, c[:, perm]), 5, 4, sched, 2,
                                np.random.default_rng(13))
         np.testing.assert_allclose(permuted, base[:, perm], atol=1e-12)
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from memdiff import make_schedule, forward_sample, posterior_mean_var
 from memdiff.errors import DataError, InvariantError
-from memdiff.schedule import TERMINAL_ALPHA_BAR, NoiseSchedule, posterior_coefficients
+from memdiff.schedule import TERMINAL_ALPHA_BAR, NoiseSchedule
 
 
 def bayes_posterior(x0, xk, k, sched):
@@ -202,6 +202,14 @@ class TestPosterior:
                 assert abs(float(mean) - want_mean) < 1e-10
                 assert abs(var - want_var) < 1e-10
 
+    def test_tables_hold_the_scalar_coefficients_bit_for_bit(self):
+        s = make_schedule(10)
+        for k in range(1, 11):
+            abar_prev, denom = s.alpha_bar_prev(k), 1.0 - s.alpha_bar[k - 1]
+            assert s.post_xk[k - 1] == np.sqrt(s.alpha[k - 1]) * (1.0 - abar_prev) / denom
+            assert s.post_x0[k - 1] == np.sqrt(abar_prev) * s.beta[k - 1] / denom
+        assert not s.post_xk.flags.writeable and not s.post_x0.flags.writeable
+
     def test_invalid_k(self):
         s = make_schedule(4)
         with pytest.raises(InvariantError):
@@ -213,9 +221,8 @@ class TestPosterior:
         rng = np.random.default_rng(seed)
         s = make_schedule(steps, beta=rng.uniform(0.01, 0.9, size=steps))
         v = rng.standard_normal()
+        assert (s.post_xk >= 0).all() and (s.post_x0 >= 0).all()
         for k in range(1, steps + 1):
-            coef_xk, coef_x0 = posterior_coefficients(k, s)
-            assert coef_xk >= 0 and coef_x0 >= 0
             mean, _ = posterior_mean_var(np.array(v), np.array(v), k, s)
             abar_prev = s.alpha_bar_prev(k)
             want = v * (np.sqrt(s.alpha[k - 1]) * (1 - abar_prev)
