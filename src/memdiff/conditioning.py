@@ -63,39 +63,42 @@ def encode_rows(enc: Mlp, rows: np.ndarray):
 
 
 @dataclass
-class PriorTrace:
-    memory_sum: np.ndarray
+class MapTrace:
+    x: np.ndarray
     eps: "np.ndarray | None"
     sigma: "np.ndarray | None"
+
+
+def _reparam(w: ParamTensor, log_var: ParamTensor, x: np.ndarray, eps: "np.ndarray | None"):
+    """The reparameterized map x W^T + exp(log_var / 2) * eps, its mean when eps is None."""
+    if eps is None:
+        return x @ w.values.T, MapTrace(x, None, None)
+    sigma = np.exp(0.5 * log_var.values)
+    return x @ w.values.T + sigma * eps, MapTrace(x, eps, sigma)
+
+
+def _reparam_backward(w: ParamTensor, log_var: ParamTensor, trace: MapTrace, upstream: np.ndarray):
+    if trace.eps is not None:
+        log_var.grad += 0.5 * (upstream * trace.eps * trace.sigma).sum(axis=0)
+    w.grad += upstream.T @ trace.x
+    return upstream @ w.values
 
 
 def memory_prior(cp: ConditionParams, m_sem: np.ndarray, m_epi: np.ndarray,
                  eps: "np.ndarray | None" = None):
     """Prior per channel row: W2 (m_e + m_s) + sigma * eps, the mean when eps is None."""
-    u = m_sem + m_epi
-    mean = u @ cp.w_prior.values.T
-    if eps is None:
-        return mean, PriorTrace(u, None, None)
-    sigma = np.exp(0.5 * cp.log_var_prior.values)
-    mean += sigma * eps
-    return mean, PriorTrace(u, eps, sigma)
+    return _reparam(cp.w_prior, cp.log_var_prior, m_sem + m_epi, eps)
 
 
-def memory_prior_backward(cp: ConditionParams, trace: PriorTrace, upstream: np.ndarray):
+def memory_prior_backward(cp: ConditionParams, trace: MapTrace, upstream: np.ndarray):
     """Returns gradient w.r.t. the memory sum (m_e + m_s)."""
-    if trace.eps is not None:
-        cp.log_var_prior.grad += 0.5 * (upstream * trace.eps * trace.sigma).sum(axis=0)
-    cp.w_prior.grad += upstream.T @ trace.memory_sum
-    return upstream @ cp.w_prior.values
+    return _reparam_backward(cp.w_prior, cp.log_var_prior, trace, upstream)
 
 
 @dataclass
 class HeadTrace:
-    m: np.ndarray
-    queries: np.ndarray
+    latent: MapTrace
     z: np.ndarray
-    eps: "np.ndarray | None"
-    sigma: "np.ndarray | None"
 
 
 def condition_head(cp: ConditionParams, m: np.ndarray, queries: np.ndarray,
@@ -105,15 +108,11 @@ def condition_head(cp: ConditionParams, m: np.ndarray, queries: np.ndarray,
     Without eps the latent is the mean. Returns condition rows (R, H); the
     caller reshapes per sample to (H, N).
     """
-    latent = m @ cp.w_cond.values.T
-    sigma = None
-    if eps is not None:
-        sigma = np.exp(0.5 * cp.log_var_cond.values)
-        latent += sigma * eps
+    latent, latent_trace = _reparam(cp.w_cond, cp.log_var_cond, m, eps)
     z = np.concatenate([latent, queries], axis=1)
     c_rows = z @ cp.proj.values.T
     c_rows += cp.proj_bias.values
-    return c_rows, HeadTrace(m, queries, z, eps, sigma)
+    return c_rows, HeadTrace(latent_trace, z)
 
 
 def condition_head_backward(cp: ConditionParams, trace: HeadTrace, upstream: np.ndarray):
@@ -121,13 +120,8 @@ def condition_head_backward(cp: ConditionParams, trace: HeadTrace, upstream: np.
     cp.proj.grad += upstream.T @ trace.z
     cp.proj_bias.grad += upstream.sum(axis=0)
     dz = upstream @ cp.proj.values
-    d = trace.m.shape[1]
-    d_latent, d_queries = dz[:, :d], dz[:, d:]
-    if trace.eps is not None:
-        cp.log_var_cond.grad += 0.5 * (d_latent * trace.eps * trace.sigma).sum(axis=0)
-    cp.w_cond.grad += d_latent.T @ trace.m
-    d_m = d_latent @ cp.w_cond.values
-    return d_m, d_queries
+    d = cp.w_cond.shape[0]
+    return _reparam_backward(cp.w_cond, cp.log_var_cond, trace.latent, dz[:, :d]), dz[:, d:]
 
 
 def future_mixup(c: np.ndarray, y0: np.ndarray, mask: np.ndarray) -> np.ndarray:

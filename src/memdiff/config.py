@@ -222,6 +222,8 @@ def load_config(path: "str | None", overrides: "list[str] | None" = None) -> Tra
         current = getattr(cfg, key)
         try:
             if key == "split_ratios":
+                if isinstance(val, str) and val != "auto":   # not one ratio per character
+                    raise ValueError(val)
                 val = None if val in (None, "auto") else tuple(_as_int(v) for v in val)
             elif isinstance(current, bool):
                 val = _as_bool(val)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attention, conditioning, denoiser
-from .checkpoint import refuse_extra
 from .config import TrainConfig
 from .episodic import EpisodicStore
 from .errors import DataError
@@ -225,25 +224,3 @@ class ForecastModel:
         sem = self.semantic.scores(h) if self.semantic is not None else None
         epi = self.episodic.scores(h) if self.episodic is not None else None
         return sem, epi
-
-    # -- persistence ---------------------------------------------------------
-
-    def state_arrays(self) -> "dict[str, np.ndarray]":
-        arrays = self.params.named("param/")
-        if self.episodic is not None:
-            arrays.update(self.episodic.state_arrays())
-        return arrays
-
-    def reader(self, arrays: "dict[str, np.ndarray]"):
-        """Check parameters and episodic state; return write(), which restores them. An
-        array that is missing, misshapen or of another config raises DataError here."""
-        writes = [self.params.reader(arrays, "param/")]
-        if self.episodic is None:
-            refuse_extra(arrays, "episodic/", ())
-        else:
-            writes.append(self.episodic.reader(arrays))
-
-        def write():
-            for part in writes:
-                part()
-        return write

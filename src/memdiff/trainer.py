@@ -203,6 +203,8 @@ class Trainer:
         if not self.data.train:
             raise DataError("trainer has no training windows")
         cfg = self.cfg
+        if cfg.max_steps and self.step_count >= cfg.max_steps:
+            return self.history
         best_val = np.inf
         stale = 0
         done = False
@@ -277,7 +279,9 @@ class Trainer:
     # -- persistence -------------------------------------------------------------
 
     def save_checkpoint(self, path: str):
-        arrays = self.model.state_arrays()
+        arrays = self.model.params.named("param/")
+        if self.model.episodic is not None:
+            arrays.update(self.model.episodic.state_arrays())
         arrays.update(self.opt.state_arrays())
         arrays["trainer/step"] = np.array([self.step_count], dtype=np.int64)
         meta = {"config_hash": config_hash(self.cfg), "seed": self.cfg.seed,
@@ -285,15 +289,20 @@ class Trainer:
         checkpoint.save(path, arrays, meta)
 
     def load_checkpoint(self, path: str):
-        """Restore model, optimizer and step count; a refused checkpoint, including one
-        holding an array memdiff never writes, raises DataError before any of them is
-        written."""
+        """Restore parameters, episodic store, Adam and step count; a refused checkpoint,
+        including one holding an array memdiff never writes, raises DataError before any
+        of them is written."""
         arrays, meta = checkpoint.load(path)
         step = checkpoint.counter(arrays, "trainer/step")
         ours = {name for name in arrays
                 if name == "trainer/step" or name.startswith(("param/", "adam/", "episodic/"))}
         checkpoint.refuse_extra(arrays, "", ours)
-        for write in [self.model.reader(arrays), self.opt.reader(arrays)]:
+        writes = [self.model.params.reader(arrays, "param/")]
+        if self.model.episodic is None:
+            checkpoint.refuse_extra(arrays, "episodic/", ())
+        else:
+            writes.append(self.model.episodic.reader(arrays))
+        for write in [*writes, self.opt.reader(arrays)]:
             write()
         self.step_count = step
         return meta

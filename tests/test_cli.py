@@ -480,6 +480,7 @@ class TestCliCommands:
         ("enc_hidden=[\"a\"]", "enc_hidden cannot take the value ['a']"),
         ("enc_hidden=5", "enc_hidden cannot take the value 5"),
         ("split_ratios=5", "split_ratios cannot take the value 5"),
+        ('split_ratios="712"', "split_ratios cannot take the value '712'"),
         ("beta_max=1.5", "need 0 < beta_min <= beta_max < 1, got (0.05, 1.5)"),
         ("beta_min=0", "need 0 < beta_min <= beta_max < 1, got (0.0, 0.55)"),
         ("beta_min=0.6", "need 0 < beta_min <= beta_max < 1, got (0.6, 0.55)"),

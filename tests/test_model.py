@@ -363,6 +363,17 @@ class TestTrainerBehavior:
         trainer.step_count = 2    # as if resumed from a checkpoint at step 2
         assert len(trainer.fit()) == 3 + 1
 
+    def test_spent_budget_runs_no_step(self, tmp_path):
+        trainer = tiny_trainer(max_steps=5)
+        trainer.fit()
+        trainer.fit()
+        assert len(trainer.history) == 5 and trainer.step_count == 5
+        path = str(tmp_path / "checkpoint.bin")
+        trainer.save_checkpoint(path)
+        resumed = tiny_trainer(max_steps=5)
+        resumed.load_checkpoint(path)
+        assert resumed.fit() == [] and resumed.step_count == 5
+
     @pytest.mark.parametrize("stride", [1, 3])
     def test_batches_are_the_stacked_windows(self, stride):
         trainer = tiny_trainer(stride_train=stride, batch_size=7)
@@ -628,3 +639,48 @@ class TestForecastBytes:
         for x0 in lookbacks:
             digest.update(model.forecast(x0, sample_rng).tobytes())
         assert digest.hexdigest() == want
+
+
+class TestTrainBytes:
+    """sha256 of the state a short fit leaves (parameters, Adam moments, episodic
+    store) and of the checkpoint file it saves, pinned on numpy 2.4 with OpenBLAS 0.3
+    (x86-64). Any change to training's arithmetic, draws or checkpoint format changes
+    a digest."""
+
+    DIGESTS = {
+        "default": ({}, "f68ca3fc83f72d4b2941c3cd89248c62e7a3b8de750a85a6534c59be4128fbe0"),
+        "alphas": ({"alpha1": 0.3, "alpha2": 0.2},
+                   "903d3d133c3a1daee75226a8c78ff9f6bc17ccb692cfc7f0ffc4c6a2e9cd9e3e"),
+        "unshared": ({"shared_memory": False},
+                     "ed951350ae63eb415928e6ef7cad56f58c6e44ee3b27b585b7bad74a7f9433b5"),
+        "memory-only-head": ({"condition_uses_query": False},
+                             "ad73cd06646c8076a7a22c8bd6bff356e530e032b1aad6f40317ae67998cfb01"),
+        "no-memory": ({"use_semantic": False, "use_episodic": False},
+                      "63188bffa4e1107887852bce9f109e9e27bdd10954425f33d05631cdc98bee10"),
+    }
+    CHECKPOINT = "0c9d03736f9723ef426cd491a9c2e0ce624c93251eaff37f1477d25a08cc408b"
+
+    @staticmethod
+    def fitted(**overrides):
+        trainer = tiny_trainer(max_steps=40, epochs=5, **overrides)
+        trainer.fit()
+        assert trainer.step_count == 40
+        return trainer
+
+    @pytest.mark.parametrize("name", DIGESTS)
+    def test_state_digest(self, name):
+        overrides, want = self.DIGESTS[name]
+        trainer = self.fitted(**overrides)
+        digest = hashlib.sha256()
+        for arr in (trainer.model.params.arena()[0], trainer.opt.m, trainer.opt.v):
+            digest.update(arr.tobytes())
+        if trainer.model.episodic is not None:
+            for key, arr in sorted(trainer.model.episodic.state_arrays().items()):
+                digest.update(key.encode() + arr.tobytes())
+        assert digest.hexdigest() == want
+
+    def test_checkpoint_file_digest(self, tmp_path):
+        path = str(tmp_path / "checkpoint.bin")
+        self.fitted().save_checkpoint(path)
+        with open(path, "rb") as f:
+            assert hashlib.sha256(f.read()).hexdigest() == self.CHECKPOINT
